@@ -1,15 +1,16 @@
 """Hand-crafted appearance cues and the pluggable embedding provider.
 
-Color histograms use B equal-width intensity levels per RGB channel
-(B = 8 by default: 0-31, 32-63, ..., 224-255). Histogram similarity is
-one minus the mean per-channel Hellinger distance. Crop dissimilarity is
-the MSE between both crops resized to a common patch, normalized by 255^2
-and subtracted from one.
+Every cue of a detection comes from one crop, taken once per frame
+(:func:`detection_cues`). Color histograms use B equal-width intensity
+levels per RGB channel (B = 8 by default: 0-31, 32-63, ..., 224-255).
+Histogram similarity is one minus the mean per-channel Hellinger distance.
+Crop similarity is one minus the MSE between both crops resized to a common
+patch, normalized by 255^2. The similarity functions take stacks of cues,
+so cost matrices evaluate them on all candidate pairs at once.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,40 +19,29 @@ import numpy as np
 from .errors import ParseError
 from .types import BoundingBox
 
-log = logging.getLogger(__name__)
-
 # Spatial layout of the fallback embedding: rows x cols grid of per-cell
 # 3-channel histograms, L2-normalized. 2*4 cells * 24 bins = 192 dims.
 FALLBACK_GRID = (2, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class ColorHistogram:
-    """Per-channel normalized frequencies, shape (3, bins)."""
-
-    bins: np.ndarray
-    is_degenerate: bool = False
-
-
-def color_histogram(crop: np.ndarray | None, bins_per_channel: int = 8) -> ColorHistogram:
+def color_histogram(crop: np.ndarray | None, bins_per_channel: int = 8) -> np.ndarray:
+    """Per-channel normalized frequencies, shape (3, bins); all zeros
+    (degenerate) for an empty crop."""
+    out = np.zeros((3, bins_per_channel))
     if crop is None or crop.size == 0:
-        return ColorHistogram(np.zeros((3, bins_per_channel)), is_degenerate=True)
-    width = 256 // bins_per_channel
-    idx = crop.reshape(-1, 3).astype(np.int64) // width
-    out = np.empty((3, bins_per_channel))
-    n = idx.shape[0]
+        return out
+    idx = crop.reshape(-1, 3).astype(np.int64) // (256 // bins_per_channel)
     for c in range(3):
-        out[c] = np.bincount(idx[:, c], minlength=bins_per_channel) / n
-    return ColorHistogram(out)
+        out[c] = np.bincount(idx[:, c], minlength=bins_per_channel) / idx.shape[0]
+    return out
 
 
-def hist_similarity(h1: ColorHistogram, h2: ColorHistogram) -> float:
-    """1 - mean Hellinger distance over channels, in [0, 1]."""
-    if h1.is_degenerate or h2.is_degenerate:
-        return 0.0
-    bc = np.sqrt(h1.bins * h2.bins).sum(axis=1)
+def histogram_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - mean Hellinger distance over channels, row by row over (n, 3, bins)
+    stacks, in [0, 1]. All-zero (degenerate) histograms score 0."""
+    bc = np.sqrt(a * b).sum(axis=-1)
     dist = np.sqrt(np.clip(1.0 - bc, 0.0, 1.0))
-    return float(1.0 - dist.mean())
+    return 1.0 - dist.mean(axis=-1)
 
 
 def resize_bilinear(crop: np.ndarray, size: tuple[int, int]) -> np.ndarray:
@@ -76,33 +66,21 @@ def resize_bilinear(crop: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def scaled_mse_similarity(crop_a: np.ndarray | None, crop_b: np.ndarray | None,
-                          patch: tuple[int, int] = (32, 32)) -> float:
-    if crop_a is None or crop_b is None or crop_a.size == 0 or crop_b.size == 0:
-        return 0.0
-    pa = resize_bilinear(crop_a, patch)
-    pb = resize_bilinear(crop_b, patch)
-    mse = float(np.mean((pa - pb) ** 2))
+def patch_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - MSE / 255^2, row by row over (n, h, w, 3) stacks of resized
+    patches of any float dtype; computed in float64."""
+    mse = ((a.astype(np.float64) - b) ** 2).mean(axis=(1, 2, 3))
     return 1.0 - mse / (255.0 ** 2)
 
 
-def patch_mse_similarity(patch_a: np.ndarray | None, patch_b: np.ndarray | None) -> float:
-    """MSE similarity between two already-resized patches."""
-    if patch_a is None or patch_b is None:
-        return 0.0
-    mse = float(np.mean((patch_a - patch_b) ** 2))
-    return 1.0 - mse / (255.0 ** 2)
-
-
-def embedding_similarity(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Cosine similarity clamped to [0, 1]; renormalizes non-unit inputs."""
-    n1 = float(np.linalg.norm(e1))
-    n2 = float(np.linalg.norm(e2))
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
-    if abs(n1 - 1.0) > 1e-6 or abs(n2 - 1.0) > 1e-6:
-        log.warning("non-unit embedding renormalized (norms %.6f, %.6f)", n1, n2)
-    return max(0.0, float(np.dot(e1, e2) / (n1 * n2)))
+def embedding_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity clamped to [0, 1] of every row of ``a`` (n, d) with
+    every row of ``b`` (m, d), shape (n, m). Vectors are renormalized; zero
+    vectors score 0."""
+    norms = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)[None, :]
+    out = np.zeros(norms.shape)
+    np.divide(a @ b.T, norms, out=out, where=norms > 0.0)
+    return np.maximum(out, 0.0)
 
 
 def extract_crop(frame: np.ndarray, box: BoundingBox) -> np.ndarray | None:
@@ -133,7 +111,7 @@ def fallback_embedding(crop: np.ndarray | None, bins_per_channel: int = 8) -> np
     parts = []
     for r_block in np.array_split(crop, rows, axis=0):
         for cell in np.array_split(r_block, cols, axis=1):
-            parts.append(color_histogram(cell if cell.size else None, bins_per_channel).bins.ravel())
+            parts.append(color_histogram(cell, bins_per_channel).ravel())
     vec = np.concatenate(parts)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
@@ -174,21 +152,51 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Cues:
+    """One detection's appearance in one frame, all taken from a single crop.
+
+    ``histogram`` and ``patch`` (float64) are None when the box is empty
+    after clamping to the frame.
+    """
+
+    histogram: np.ndarray | None
+    patch: np.ndarray | None = field(repr=False)
+    embedding: np.ndarray | None = field(repr=False)
+
+
+def detection_cues(frame: np.ndarray, box: BoundingBox, bins_per_channel: int,
+                   patch_size: tuple[int, int], embedding: np.ndarray | None = None,
+                   fallback: bool = False) -> Cues:
+    """Crop once; derive the histogram, the MSE patch and, when ``embedding``
+    is None and ``fallback`` is on, the hand-crafted embedding from it."""
+    crop = extract_crop(frame, box)
+    if embedding is None and fallback:
+        embedding = fallback_embedding(crop, bins_per_channel)
+    if crop is None:
+        return Cues(None, None, embedding)
+    return Cues(color_histogram(crop, bins_per_channel), resize_bilinear(crop, patch_size),
+                embedding)
+
+
 @dataclass
 class AppearanceMemory:
-    """Per-track cache of the last matched crop's descriptors."""
+    """Per-track copy of the last matched detection's cues.
 
-    histogram: ColorHistogram | None = None
+    The patch is stored as float32: it is the bulk of a track's memory, and
+    similarities are computed from it in float64.
+    """
+
+    histogram: np.ndarray | None = None
     patch: np.ndarray | None = field(default=None, repr=False)
     embedding: np.ndarray | None = field(default=None, repr=False)
 
-    def update_crop(self, crop: np.ndarray | None, bins_per_channel: int,
-                    patch_size: tuple[int, int]) -> None:
-        # Degenerate crops leave the previous descriptors in place.
-        if crop is None or crop.size == 0:
-            return
-        self.histogram = color_histogram(crop, bins_per_channel)
-        self.patch = resize_bilinear(crop, patch_size)
+    def update(self, cues: Cues, momentum: float) -> None:
+        # A degenerate crop leaves the previous histogram and patch in place.
+        if cues.histogram is not None:
+            self.histogram = cues.histogram
+            self.patch = cues.patch.astype(np.float32)
+        self.update_embedding(cues.embedding, momentum)
 
     def update_embedding(self, embedding: np.ndarray | None, momentum: float) -> None:
         if embedding is None:

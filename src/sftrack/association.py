@@ -1,7 +1,9 @@
-"""Cost construction and optimal assignment for both association stages.
+"""Cost construction and optimal assignment for both association stages,
+and the appearance gate on low-confidence track initiation.
 
 Costs live in [0, 1] (1 - fused similarity). FORBIDDEN marks pairs the
 solver must never select: IoU below the stage gate or mismatched classes.
+Cues are evaluated only on the candidate pairs, as array expressions.
 """
 
 from __future__ import annotations
@@ -28,19 +30,6 @@ class Assignment:
     matches: list[tuple[int, int]]
     unmatched_rows: list[int]
     unmatched_cols: list[int]
-
-
-def fuse_first(iou_value: float, embed_sim: float | None) -> float:
-    """First-stage similarity: IoU times embedding cosine; IoU alone when
-    either side has no embedding."""
-    if embed_sim is None:
-        return iou_value
-    return iou_value * embed_sim
-
-
-def fuse_second(iou_value: float, hist_sim: float, mse_sim: float) -> float:
-    """Second-stage similarity: product of IoU, histogram and MSE cues."""
-    return iou_value * hist_sim * mse_sim
 
 
 def hungarian(cost: np.ndarray, min_similarity: float = 0.0) -> Assignment:
@@ -71,60 +60,80 @@ def hungarian(cost: np.ndarray, min_similarity: float = 0.0) -> Assignment:
     )
 
 
+def _stack(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> np.ndarray:
+    """Rows stacked into one array, with zeros for the missing (None) ones."""
+    blank = np.zeros(shape, dtype=np.float32)  # upcast by float64 rows
+    return np.stack([blank if r is None else r for r in rows])
+
+
+def _cosines(rows_a: Sequence[np.ndarray | None], rows_b: Sequence[np.ndarray | None],
+             missing: float) -> np.ndarray:
+    """Embedding cosine of every (row_a, row_b) pair as an (n_a, n_b)
+    matrix; ``missing`` where either row has no embedding."""
+    has_a = np.array([r is not None for r in rows_a], dtype=bool)
+    has_b = np.array([r is not None for r in rows_b], dtype=bool)
+    out = np.full((len(rows_a), len(rows_b)), missing)
+    if has_a.any() and has_b.any():
+        out[np.ix_(has_a, has_b)] = appearance.embedding_similarities(
+            np.stack([r for r in rows_a if r is not None]),
+            np.stack([r for r in rows_b if r is not None]))
+    return out
+
+
+def _same_class(rows: Sequence, cols: Sequence) -> np.ndarray:
+    return (np.array([r.class_id for r in rows])[:, None]
+            == np.array([c.class_id for c in cols])[None, :])
+
+
 def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
                        stage: Literal["first", "second"],
-                       frame: np.ndarray | None,
+                       cues: Sequence[appearance.Cues],
                        config: TrackerConfig,
                        use_appearance: bool = True) -> np.ndarray:
     """Cost matrix for one cascade stage.
 
     ``tracks`` need ``class_id``, ``predicted_box`` and ``appearance``
-    attributes. Entries are FORBIDDEN when IoU is below the stage gate or
-    the classes differ. ``use_appearance=False`` reduces the second stage
-    to plain IoU (the confidence-cascade baseline behaviour).
+    attributes; ``cues`` holds one record per detection. Entries are
+    FORBIDDEN when IoU is below the stage gate or the classes differ; the
+    other pairs cost 1 - IoU x the stage's cue: embedding cosine (1 where a
+    side has none) in the first stage, histogram x patch MSE similarity (0
+    where a side has no crop) in the second. ``use_appearance=False`` drops
+    the cue (the confidence-cascade baseline behaviour).
     """
-    n_t, n_d = len(tracks), len(detections)
-    cost = np.full((n_t, n_d), FORBIDDEN)
-    if n_t == 0 or n_d == 0:
+    cost = np.full((len(tracks), len(detections)), FORBIDDEN)
+    if not tracks or not detections:
         return cost
     gate = config.iou_gate_first if stage == "first" else config.iou_gate_second
     ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
-
-    det_crops: list[np.ndarray | None] = [None] * n_d
-    det_hists: list[appearance.ColorHistogram | None] = [None] * n_d
-    det_patches: list[np.ndarray | None] = [None] * n_d
-    if stage == "second" and use_appearance and frame is not None:
-        for j, det in enumerate(detections):
-            crop = appearance.extract_crop(frame, det.box)
-            det_crops[j] = crop
-            if crop is not None:
-                det_hists[j] = appearance.color_histogram(crop, config.hist_bins_per_channel)
-                det_patches[j] = appearance.resize_bilinear(crop, config.mse_patch_size)
-
-    for i, track in enumerate(tracks):
-        for j, det in enumerate(detections):
-            if track.class_id != det.class_id:
-                continue
-            iou_value = float(ious[i, j])
-            if iou_value < gate:
-                continue
-            if stage == "first":
-                embed_sim = None
-                if use_appearance and det.embedding is not None \
-                        and track.appearance.embedding is not None:
-                    embed_sim = appearance.embedding_similarity(
-                        track.appearance.embedding, det.embedding)
-                sim = fuse_first(iou_value, embed_sim)
-            else:
-                if use_appearance:
-                    mem = track.appearance
-                    if det_crops[j] is None or mem.histogram is None:
-                        h_sim = m_sim = 0.0
-                    else:
-                        h_sim = appearance.hist_similarity(mem.histogram, det_hists[j])
-                        m_sim = appearance.patch_mse_similarity(mem.patch, det_patches[j])
-                    sim = fuse_second(iou_value, h_sim, m_sim)
-                else:
-                    sim = iou_value
-            cost[i, j] = 1.0 - sim
+    ti, dj = np.nonzero(_same_class(tracks, detections) & (ious >= gate))
+    sim = ious[ti, dj]
+    mem = [t.appearance for t in tracks]
+    if use_appearance and stage == "first":
+        cos = _cosines([m.embedding for m in mem], [c.embedding for c in cues], 1.0)
+        sim = sim * cos[ti, dj]
+    elif use_appearance:
+        # A missing crop stacks as an all-zero histogram, which scores 0.
+        bins = (3, config.hist_bins_per_channel)
+        patch = (config.mse_patch_size[1], config.mse_patch_size[0], 3)
+        sim = (sim * appearance.histogram_similarities(
+                   _stack([m.histogram for m in mem], bins)[ti],
+                   _stack([c.histogram for c in cues], bins)[dj])
+               * appearance.patch_similarities(
+                   _stack([m.patch for m in mem], patch)[ti],
+                   _stack([c.patch for c in cues], patch)[dj]))
+    cost[ti, dj] = 1.0 - sim
     return cost
+
+
+def low_init_allowed(low: Sequence[Detection], low_cues: Sequence[appearance.Cues],
+                     high: Sequence[Detection], high_cues: Sequence[appearance.Cues],
+                     rho: float) -> np.ndarray:
+    """The rho gate: which low-confidence detections may start a track. Those
+    whose best embedding cosine against this frame's same-class high
+    detections exceeds ``rho`` pass, and so do those the gate cannot judge
+    (no embedding on the low detection or on every same-class high one)."""
+    if not low or not high:
+        return np.ones(len(low), dtype=bool)
+    cos = _cosines([c.embedding for c in low_cues], [c.embedding for c in high_cues], -np.inf)
+    best = np.where(_same_class(low, high), cos, -np.inf).max(axis=1)
+    return (best == -np.inf) | (best > rho)

@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics, synthetic, tracker as tracker_mod
 from .appearance import load_embeddings
 from .config import TrackerConfig
-from .errors import SFTrackError
+from .errors import NumericalError, SFTrackError
 from .io_formats import (AnnotatedBox, load_sequence, read_mot_annotations,
                          read_mot_detections, read_ppm, read_visdrone, write_ppm,
                          write_results)
@@ -101,6 +101,7 @@ def cmd_track(args) -> int:
     fallbacks = sum(1 for x in d if x.motion is not None and x.motion.fallback)
     print(f"frames:          {len(results)}")
     print(f"high/low dets:   {sum(x.n_high for x in d)}/{sum(x.n_low for x in d)}")
+    print(f"dropped dets:    {sum(x.n_degenerate for x in d)} (zero width or height)")
     print(f"matched 1st/2nd: {sum(x.n_matched_first for x in d)}/"
           f"{sum(x.n_matched_second for x in d)}")
     print(f"new high/low:    {sum(x.n_new_high for x in d)}/{sum(x.n_new_low for x in d)}")
@@ -262,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except NumericalError:  # an internal fault, not the caller's
+        traceback.print_exc()
+        return 1
     except (SFTrackError, FileNotFoundError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

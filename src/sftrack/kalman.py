@@ -29,10 +29,6 @@ class KalmanState:
     def copy(self) -> "KalmanState":
         return KalmanState(self.mean.copy(), self.covariance.copy())
 
-    @property
-    def cxcyah(self) -> np.ndarray:
-        return self.mean[:4]
-
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.T) * 0.5

@@ -333,7 +333,6 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
 class AffineEstimate:
     transform: AffineTransform2D
     inlier_ratio: float = 0.0
-    n_pairs: int = 0
     fallback: bool = False
 
 
@@ -366,7 +365,7 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     dst = np.asarray(cur_points, dtype=float).reshape(-1, 2)
     n = len(src)
     if n < 3 or len(dst) != n:
-        return AffineEstimate(AffineTransform2D.identity(), 0.0, n, fallback=True)
+        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
 
     rng = np.random.default_rng(seed)
     best_count = 0
@@ -396,11 +395,11 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
                 break
 
     if best_inliers is None or best_count < 3:
-        return AffineEstimate(AffineTransform2D.identity(), 0.0, n, fallback=True)
+        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
     fit = _fit_affine_lstsq(src[best_inliers], dst[best_inliers])
     if fit is None:
-        return AffineEstimate(AffineTransform2D.identity(), 0.0, n, fallback=True)
-    return AffineEstimate(fit, best_count / n, n, fallback=False)
+        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
+    return AffineEstimate(fit, best_count / n, fallback=False)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,6 @@ class MotionEstimate:
     """Camera motion between two frames, ready to apply to tracks."""
 
     transform: AffineTransform2D = field(default_factory=AffineTransform2D.identity)
-    raw_transform: AffineTransform2D = field(default_factory=AffineTransform2D.identity)
     inlier_ratio: float = 0.0
     n_features: int = 0
     n_tracked: int = 0
@@ -483,7 +481,6 @@ def estimate_camera_motion(prev_image: np.ndarray, cur_image: np.ndarray,
     constrained = constrain_scale(estimate.transform)
     return MotionEstimate(
         transform=constrained,
-        raw_transform=estimate.transform,
         inlier_ratio=estimate.inlier_ratio,
         n_features=len(points),
         n_tracked=int(tracked.status.sum()),

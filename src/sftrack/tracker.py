@@ -3,7 +3,9 @@ two-stage association, lifecycle management, and both initiation paths.
 
 One frame step runs, in order:
 
-1. split detections at the confidence threshold (strictly greater goes high);
+1. drop detections with zero width or height, take each remaining one's
+   appearance cues from a single crop, and split them at the confidence
+   threshold (strictly greater goes high);
 2. Kalman-predict every live track, then apply the scale-constrained camera
    transform when motion compensation is on;
 3. first association of all live tracks against high detections
@@ -25,6 +27,7 @@ detector reproduces ground truth exactly.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +35,8 @@ import numpy as np
 from . import appearance, association, kalman, motion
 from .config import TrackerConfig
 from .types import BoundingBox, Detection, from_cxcyah, to_cxcyah
+
+log = logging.getLogger(__name__)
 
 
 class TrackStatus(enum.Enum):
@@ -43,15 +48,15 @@ class TrackStatus(enum.Enum):
 class Track:
     """An identity-preserving trajectory owned by a single tracker."""
 
-    def __init__(self, track_id: int, detection: Detection, frame: int):
+    def __init__(self, track_id: int, detection: Detection, cues: appearance.Cues,
+                 momentum: float):
         self.track_id = track_id
         self.class_id = detection.class_id
         self.status = TrackStatus.ACTIVE
         self.kalman_state = kalman.initiate(to_cxcyah(detection.box))
-        self.last_frame = frame
         self.miss_count = 0
         self.appearance = appearance.AppearanceMemory()
-        self.history: list[tuple[int, BoundingBox]] = [(frame, detection.box)]
+        self.appearance.update(cues, momentum)
 
     @property
     def predicted_box(self) -> BoundingBox:
@@ -60,12 +65,12 @@ class Track:
             return BoundingBox(cx, cy, 0.0, 0.0)
         return from_cxcyah(cx, cy, a, h)
 
-    def mark_matched(self, detection: Detection, frame: int) -> None:
+    def mark_matched(self, detection: Detection, cues: appearance.Cues,
+                     momentum: float) -> None:
         self.kalman_state = kalman.update(self.kalman_state, to_cxcyah(detection.box))
         self.status = TrackStatus.ACTIVE
         self.miss_count = 0
-        self.last_frame = frame
-        self.history.append((frame, detection.box))
+        self.appearance.update(cues, momentum)
 
     def mark_missed(self, grace_frames: int) -> bool:
         """Returns True when the track was removed."""
@@ -86,6 +91,8 @@ class FrameDiagnostics:
     n_new_high: int = 0
     n_new_low: int = 0
     n_removed: int = 0
+    # Detections dropped for zero width or height.
+    n_degenerate: int = 0
     motion: motion.MotionEstimate | None = None
     used_embeddings: bool = False
     # (before, after) aspect ratios captured around motion compensation.
@@ -122,39 +129,11 @@ class Tracker:
 
     # -- helpers ------------------------------------------------------------
 
-    def _live_tracks(self) -> list[Track]:
-        return [t for t in self.tracks if t.status != TrackStatus.REMOVED]
-
-    def _embedding_for(self, frame_index: int, det_index: int,
-                       det: Detection, image: np.ndarray) -> np.ndarray | None:
-        if det.embedding is not None:
-            return det.embedding
-        if self.embeddings is not None:
-            vec = self.embeddings.get((frame_index, det_index))
-            if vec is not None:
-                return vec
-        if self.handcrafted_fallback:
-            crop = appearance.extract_crop(image, det.box)
-            return appearance.fallback_embedding(crop, self.config.hist_bins_per_channel)
-        return None
-
-    def _start_track(self, det: Detection, frame_index: int, image: np.ndarray) -> Track:
-        track = Track(self._next_id, det, frame_index)
+    def _start_track(self, det: Detection, cues: appearance.Cues) -> Track:
+        track = Track(self._next_id, det, cues, self.config.embedding_ema_momentum)
         self._next_id += 1
-        crop = appearance.extract_crop(image, det.box)
-        track.appearance.update_crop(crop, self.config.hist_bins_per_channel,
-                                     self.config.mse_patch_size)
-        track.appearance.update_embedding(det.embedding, self.config.embedding_ema_momentum)
         self.tracks.append(track)
         return track
-
-    def _match_track(self, track: Track, det: Detection, frame_index: int,
-                     image: np.ndarray) -> None:
-        track.mark_matched(det, frame_index)
-        crop = appearance.extract_crop(image, det.box)
-        track.appearance.update_crop(crop, self.config.hist_bins_per_channel,
-                                     self.config.mse_patch_size)
-        track.appearance.update_embedding(det.embedding, self.config.embedding_ema_momentum)
 
     # -- main step ----------------------------------------------------------
 
@@ -170,18 +149,30 @@ class Tracker:
         cfg = self.config
 
         use_embeddings = self.embeddings is not None or self.handcrafted_fallback
-        dets = []
+        # Kept detections split at tau, and their cues in the same order.
+        d_high: list[Detection] = []
+        d_low: list[Detection] = []
+        c_high, c_low = [], []
         for j, det in enumerate(detections):
-            if use_embeddings:
-                det = det.with_embedding(self._embedding_for(frame_index, j, det, image))
-            dets.append(det)
-
-        d_high = [d for d in dets if d.score > cfg.tau]
-        d_low = [d for d in dets if d.score <= cfg.tau]
+            if det.box.is_degenerate:
+                diag.n_degenerate += 1
+                continue
+            embedding = det.embedding
+            if embedding is None and self.embeddings is not None:
+                embedding = self.embeddings.get((frame_index, j))
+            cues = appearance.detection_cues(image, det.box, cfg.hist_bins_per_channel,
+                                             cfg.mse_patch_size, embedding,
+                                             fallback=self.handcrafted_fallback)
+            high = det.score > cfg.tau
+            (d_high if high else d_low).append(det)
+            (c_high if high else c_low).append(cues)
+        if diag.n_degenerate:
+            log.warning("frame %d: dropped %d detection(s) with zero width or height",
+                        frame_index, diag.n_degenerate)
         diag.n_high, diag.n_low = len(d_high), len(d_low)
 
         # Predict, then compensate camera motion.
-        live = self._live_tracks()
+        live = [t for t in self.tracks if t.status != TrackStatus.REMOVED]
         for track in live:
             track.kalman_state = kalman.predict(track.kalman_state)
         if cfg.mc_enabled and self._prev_image is not None and live:
@@ -202,28 +193,28 @@ class Tracker:
             diag.predicted_boxes[track.track_id] = track.predicted_box
 
         # First association: all live tracks vs high-confidence detections.
-        cost = association.build_stage_matrix(live, d_high, "first", image, cfg,
+        cost = association.build_stage_matrix(live, d_high, "first", c_high, cfg,
                                               use_appearance=use_embeddings)
         diag.used_embeddings = bool(
             use_embeddings and any(t.appearance.embedding is not None for t in live)
-            and any(d.embedding is not None for d in d_high))
+            and any(c.embedding is not None for c in c_high))
         first = association.hungarian(cost, cfg.min_fused_sim_first)
         outputs: list[tuple[int, int, BoundingBox, float]] = []
         for ti, dj in first.matches:
             track, det = live[ti], d_high[dj]
-            self._match_track(track, det, frame_index, image)
+            track.mark_matched(det, c_high[dj], cfg.embedding_ema_momentum)
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_first = len(first.matches)
 
         # Second association: leftovers vs low-confidence detections.
         remaining = [live[i] for i in first.unmatched_rows]
         cost2 = association.build_stage_matrix(
-            remaining, d_low, "second", image, cfg,
+            remaining, d_low, "second", c_low, cfg,
             use_appearance=cfg.traditional_second_assoc)
         second = association.hungarian(cost2, cfg.min_fused_sim_second)
         for ti, dj in second.matches:
             track, det = remaining[ti], d_low[dj]
-            self._match_track(track, det, frame_index, image)
+            track.mark_matched(det, c_low[dj], cfg.embedding_ema_momentum)
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_second = len(second.matches)
 
@@ -235,30 +226,27 @@ class Tracker:
         # New tracks from unmatched high detections.
         for dj in first.unmatched_cols:
             det = d_high[dj]
-            track = self._start_track(det, frame_index, image)
+            track = self._start_track(det, c_high[dj])
             outputs.append((track.track_id, track.class_id, det.box, det.score))
             diag.n_new_high += 1
 
         # New tracks from unmatched low detections, gated on appearance
         # similarity against this frame's same-class high detections.
         if cfg.low_init_enabled:
-            for dj in second.unmatched_cols:
+            candidates = second.unmatched_cols
+            allowed = association.low_init_allowed(
+                [d_low[dj] for dj in candidates], [c_low[dj] for dj in candidates],
+                d_high, c_high, cfg.rho)
+            for dj in (dj for dj, ok in zip(candidates, allowed) if ok):
                 det = d_low[dj]
-                same_class_high = [d for d in d_high if d.class_id == det.class_id]
-                if same_class_high and det.embedding is not None:
-                    best = max(
-                        (appearance.embedding_similarity(det.embedding, h.embedding)
-                         for h in same_class_high if h.embedding is not None),
-                        default=None)
-                    if best is not None and best <= cfg.rho:
-                        continue
-                track = self._start_track(det, frame_index, image)
+                track = self._start_track(det, c_low[dj])
                 outputs.append((track.track_id, track.class_id, det.box, det.score))
                 diag.n_new_low += 1
 
         outputs.sort(key=lambda o: o[0])
         self._last_frame_index = frame_index
-        self._prev_image = image
+        # Only motion compensation reads the previous frame.
+        self._prev_image = image if cfg.mc_enabled else None
         return FrameResult(frame_index, outputs, diag)
 
 

@@ -113,6 +113,3 @@ class Detection:
             norm = float(np.linalg.norm(self.embedding))
             if abs(norm - 1.0) > 1e-6:
                 raise ValueError(f"detection embedding norm {norm} is not unit")
-
-    def with_embedding(self, embedding: np.ndarray | None) -> "Detection":
-        return Detection(self.frame, self.box, self.score, self.class_id, embedding)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 [PASS]/[FAIL] line. Tolerances are pinned here, not tuned elsewhere."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -221,6 +222,17 @@ def test_criterion_07_ablation_ordering(presets):
 
 # -- 8 ----------------------------------------------------------------------
 
+# sha256 of each preset's result file (default configuration), recorded
+# before the per-detection cue refactor. Refactors keep these bytes; a change
+# that must move them says so and records the new digests here.
+PRESET_RESULT_SHA256 = {
+    "baseline": "3836c943028d158a6545fe94556c648a78823494be644e33b5de724d5dae7b30",
+    "fast_camera": "f3f596d3f3336603cfd411fee0c426e345f9f2479d6900f200c12621dc9369d5",
+    "occlusion": "c486f43125790641aeee701dd4167b689ce9cfb80179c4e0dbf60495c6d51a65",
+    "small_objects": "a1f1af24d27e948ad24eb5e2460c20ee9967f8ce0c0edaa0a5424148bf20a029",
+}
+
+
 def test_criterion_08_determinism(presets, tmp_path):
     for name in ("baseline", "fast_camera", "occlusion", "small_objects"):
         first = presets.run(name)
@@ -229,11 +241,14 @@ def test_criterion_08_determinism(presets, tmp_path):
         write_results(p1, first)
         write_results(p2, second)
         assert p1.read_bytes() == p2.read_bytes(), f"{name} result files differ"
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == PRESET_RESULT_SHA256[name], \
+            f"{name} result file differs from the recorded digest"
         gt = presets.gt(name)
         r1 = metrics.evaluate(gt, metrics_hyp(first), sequence_name=name).to_json()
         r2 = metrics.evaluate(gt, metrics_hyp(second), sequence_name=name).to_json()
         assert r1 == r2, f"{name} reports differ"
-    _report("criterion 8: byte-identical results and reports on repeated runs")
+    _report("criterion 8: byte-identical results and reports on repeated runs, "
+            "matching the recorded digests")
 
 
 # -- 9 ----------------------------------------------------------------------

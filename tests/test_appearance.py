@@ -18,45 +18,60 @@ def solid(r, g, b, h=8, w=8):
 class TestColorHistogram:
     def test_all_red(self):
         h = ap.color_histogram(solid(255, 0, 0))
-        assert h.bins[0, 7] == 1.0
-        assert h.bins[1, 0] == 1.0
-        assert h.bins[2, 0] == 1.0
+        assert h[0, 7] == 1.0
+        assert h[1, 0] == 1.0
+        assert h[2, 0] == 1.0
 
     def test_level_boundaries(self):
         h31 = ap.color_histogram(solid(31, 31, 31))
         h32 = ap.color_histogram(solid(32, 32, 32))
-        assert h31.bins[0, 0] == 1.0
-        assert h32.bins[0, 1] == 1.0
+        assert h31[0, 0] == 1.0
+        assert h32[0, 1] == 1.0
 
     def test_fifty_fifty_mix(self):
         crop = solid(10, 0, 0)
         crop[:, 4:, 0] = 200  # half the red pixels at 200 -> bin 6
         h = ap.color_histogram(crop)
-        assert h.bins[0, 0] == pytest.approx(0.5)
-        assert h.bins[0, 6] == pytest.approx(0.5)
+        assert h[0, 0] == pytest.approx(0.5)
+        assert h[0, 6] == pytest.approx(0.5)
 
     def test_empty_crop_degenerate(self):
         h = ap.color_histogram(None)
-        assert h.is_degenerate
-        assert np.all(h.bins == 0)
+        assert h.shape == (3, 8)
+        assert np.all(h == 0)
 
     def test_channels_sum_to_one(self):
         rng = np.random.default_rng(0)
         crop = rng.integers(0, 256, size=(13, 9, 3)).astype(np.uint8)
         h = ap.color_histogram(crop)
-        assert np.allclose(h.bins.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(h.sum(axis=1), 1.0, atol=1e-9)
+
+
+def hist_sim(h1, h2):
+    return float(ap.histogram_similarities(h1[None], h2[None])[0])
+
+
+def mse_sim(crop_a, crop_b, patch=(32, 32)):
+    """Scaled-image MSE similarity of two crops through the array form."""
+    pa = ap.resize_bilinear(crop_a, patch)[None]
+    pb = ap.resize_bilinear(crop_b, patch)[None]
+    return float(ap.patch_similarities(pa, pb)[0])
+
+
+def embed_sim(e1, e2):
+    return float(ap.embedding_similarities(e1[None], e2[None])[0, 0])
 
 
 class TestHistSimilarity:
     def test_identical(self):
         crop = solid(100, 150, 200)
         h = ap.color_histogram(crop)
-        assert ap.hist_similarity(h, h) == pytest.approx(1.0, abs=1e-12)
+        assert hist_sim(h, h) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_support(self):
         h1 = ap.color_histogram(solid(0, 0, 0))
         h2 = ap.color_histogram(solid(40, 40, 40))  # bin 1 on all channels
-        assert ap.hist_similarity(h1, h2) == pytest.approx(0.0, abs=1e-12)
+        assert hist_sim(h1, h2) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_single_channel_split(self):
         # Channel 0: all mass in bin 0 vs an even split between bins 0 and 1;
@@ -67,33 +82,35 @@ class TestHistSimilarity:
         crop2[:, 4:, 0] = 40
         h1, h2 = ap.color_histogram(crop1), ap.color_histogram(crop2)
         d = math.sqrt(1 - math.sqrt(0.5))
-        assert ap.hist_similarity(h1, h2) == pytest.approx(1 - d / 3, abs=1e-9)
+        assert hist_sim(h1, h2) == pytest.approx(1 - d / 3, abs=1e-9)
 
     def test_degenerate_is_zero(self):
         h = ap.color_histogram(solid(10, 10, 10))
-        assert ap.hist_similarity(h, ap.color_histogram(None)) == 0.0
+        assert hist_sim(h, ap.color_histogram(None)) == 0.0
 
 
 class TestScaledMse:
     def test_identical_crops(self):
         crop = solid(10, 200, 30, h=12, w=7)
-        assert ap.scaled_mse_similarity(crop, crop) == pytest.approx(1.0, abs=1e-12)
+        assert mse_sim(crop, crop) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_content_different_sizes(self):
         a = solid(90, 120, 50, h=10, w=10)
         b = solid(90, 120, 50, h=25, w=17)
-        assert ap.scaled_mse_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
+        assert mse_sim(a, b) == pytest.approx(1.0, abs=1e-9)
 
     def test_black_vs_white(self):
-        assert ap.scaled_mse_similarity(solid(0, 0, 0), solid(255, 255, 255)) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert mse_sim(solid(0, 0, 0), solid(255, 255, 255)) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset(self):
-        sim = ap.scaled_mse_similarity(solid(0, 0, 0), solid(128, 128, 128))
+        sim = mse_sim(solid(0, 0, 0), solid(128, 128, 128))
         assert sim == pytest.approx(1 - 16384 / 65025, abs=1e-9)
 
     def test_empty_is_zero(self):
-        assert ap.scaled_mse_similarity(None, solid(1, 1, 1)) == 0.0
+        # A detection without a crop has no patch; the cost builder then
+        # scores the pair 0 without calling the similarity.
+        cues = ap.detection_cues(solid(1, 1, 1), BoundingBox(20, 20, 4, 4), 8, (32, 32))
+        assert cues.histogram is None and cues.patch is None
 
 
 @settings(max_examples=30)
@@ -103,8 +120,8 @@ def test_similarities_symmetric_and_bounded(seed):
     a = rng.integers(0, 256, size=(rng.integers(2, 20), rng.integers(2, 20), 3)).astype(np.uint8)
     b = rng.integers(0, 256, size=(rng.integers(2, 20), rng.integers(2, 20), 3)).astype(np.uint8)
     ha, hb = ap.color_histogram(a), ap.color_histogram(b)
-    hs1, hs2 = ap.hist_similarity(ha, hb), ap.hist_similarity(hb, ha)
-    ms1, ms2 = ap.scaled_mse_similarity(a, b), ap.scaled_mse_similarity(b, a)
+    hs1, hs2 = hist_sim(ha, hb), hist_sim(hb, ha)
+    ms1, ms2 = mse_sim(a, b), mse_sim(b, a)
     assert hs1 == pytest.approx(hs2, abs=1e-12)
     assert ms1 == pytest.approx(ms2, abs=1e-12)
     assert 0.0 <= hs1 <= 1.0
@@ -114,18 +131,23 @@ def test_similarities_symmetric_and_bounded(seed):
 class TestEmbeddingSimilarity:
     def test_identical(self):
         e = np.array([0.6, 0.8])
-        assert ap.embedding_similarity(e, e) == pytest.approx(1.0)
+        assert embed_sim(e, e) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert ap.embedding_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert embed_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_antipodal_clamped(self):
         e = np.array([1.0, 0.0])
-        assert ap.embedding_similarity(e, -e) == 0.0
+        assert embed_sim(e, -e) == 0.0
 
     def test_renormalizes(self):
-        assert ap.embedding_similarity(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == \
-            pytest.approx(1.0)
+        assert embed_sim(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+
+    def test_matrix_of_all_row_pairs(self):
+        a = np.array([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(ap.embedding_similarities(a, b),
+                           [[0.0, 1.0], [0.0, 0.0], [0.8, 0.6]])
 
 
 class TestExtractCrop:
@@ -160,7 +182,7 @@ class TestFallbackEmbedding:
         crop[:4, :, 0] = 200
         crop[4:, :, 2] = 90
         up = np.repeat(np.repeat(crop, 2, axis=0), 2, axis=1)
-        sim = ap.embedding_similarity(ap.fallback_embedding(crop), ap.fallback_embedding(up))
+        sim = embed_sim(ap.fallback_embedding(crop), ap.fallback_embedding(up))
         assert sim >= 0.99
 
     def test_degenerate(self):
@@ -209,8 +231,36 @@ class TestAppearanceMemory:
             assert np.linalg.norm(mem.embedding) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_crop_keeps_previous(self):
+        frame = solid(10, 20, 30)
         mem = ap.AppearanceMemory()
-        mem.update_crop(solid(10, 20, 30), 8, (4, 4))
+        mem.update(ap.detection_cues(frame, BoundingBox(0, 0, 8, 8), 8, (4, 4)), 0.9)
         before = mem.patch.copy()
-        mem.update_crop(None, 8, (4, 4))
+        mem.update(ap.detection_cues(frame, BoundingBox(20, 20, 4, 4), 8, (4, 4)), 0.9)
         assert np.array_equal(mem.patch, before)
+
+    def test_patch_stored_as_float32(self):
+        frame = solid(10, 20, 30)
+        cues = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8), 8, (4, 4))
+        mem = ap.AppearanceMemory()
+        mem.update(cues, 0.9)
+        assert cues.patch.dtype == np.float64
+        assert mem.patch.dtype == np.float32
+        assert mem.histogram is cues.histogram
+
+
+class TestDetectionCues:
+    def test_one_crop_feeds_every_cue(self):
+        rng = np.random.default_rng(4)
+        frame = rng.integers(0, 256, size=(30, 40, 3)).astype(np.uint8)
+        box = BoundingBox(5, 6, 12, 9)
+        crop = ap.extract_crop(frame, box)
+        cues = ap.detection_cues(frame, box, 8, (6, 5), fallback=True)
+        assert np.array_equal(cues.histogram, ap.color_histogram(crop, 8))
+        assert np.array_equal(cues.patch, ap.resize_bilinear(crop, (6, 5)))
+        assert np.array_equal(cues.embedding, ap.fallback_embedding(crop, 8))
+
+    def test_given_embedding_wins_over_fallback(self):
+        e = np.array([0.6, 0.8])
+        cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(0, 0, 4, 4), 8, (4, 4),
+                                 embedding=e, fallback=True)
+        assert cues.embedding is e

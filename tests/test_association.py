@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftrack.association import (FORBIDDEN, build_stage_matrix, fuse_first,
-                                 fuse_second, hungarian)
-from sftrack.appearance import AppearanceMemory
+from sftrack import appearance as ap
+from sftrack.association import FORBIDDEN, build_stage_matrix, hungarian
+from sftrack.appearance import AppearanceMemory, detection_cues
 from sftrack.config import TrackerConfig
-from sftrack.types import BoundingBox, Detection
+from sftrack.types import BoundingBox, Detection, iou_matrix
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -23,19 +23,64 @@ def brute_force_min(cost: np.ndarray) -> float:
     return best
 
 
+class _FakeTrack:
+    def __init__(self, box, class_id=0, embedding=None):
+        self.predicted_box = box
+        self.class_id = class_id
+        self.appearance = AppearanceMemory(embedding=embedding)
+
+
+def _cues(frame, dets, cfg=TrackerConfig()):
+    return [detection_cues(frame, d.box, cfg.hist_bins_per_channel, cfg.mse_patch_size,
+                           d.embedding) for d in dets]
+
+
+def _one_pair(stage, track, det, frame, use_appearance=True):
+    cfg = TrackerConfig()
+    cost = build_stage_matrix([track], [det], stage, _cues(frame, [det], cfg), cfg,
+                              use_appearance=use_appearance)
+    return float(cost[0, 0])
+
+
 class TestFuse:
+    """The stage similarities, read back from one-pair cost matrices."""
+
+    FRAME = np.full((50, 50, 3), 120, dtype=np.uint8)
+    TRACK_BOX = BoundingBox(10, 10, 20, 20)
+    HALF_BOX = BoundingBox(10, 10, 20, 10)  # IoU 0.5 with TRACK_BOX
+
     def test_fuse_first(self):
-        assert fuse_first(1.0, 1.0) == 1.0
-        assert fuse_first(0.5, 0.8) == pytest.approx(0.4)
-        assert fuse_first(0.0, 1.0) == 0.0
+        e_t = np.array([1.0, 0.0])
+        track = _FakeTrack(self.TRACK_BOX, embedding=e_t)
+        same = Detection(1, self.TRACK_BOX, 0.9, embedding=e_t)
+        assert _one_pair("first", track, same, self.FRAME) == 0.0
+        tilted = Detection(1, self.HALF_BOX, 0.9, embedding=np.array([0.8, 0.6]))
+        assert _one_pair("first", track, tilted, self.FRAME) == pytest.approx(1 - 0.4)
 
     def test_fuse_first_without_embedding(self):
-        assert fuse_first(0.7, None) == 0.7
+        track = _FakeTrack(self.TRACK_BOX, embedding=np.array([1.0, 0.0]))
+        det = Detection(1, self.HALF_BOX, 0.9)
+        assert _one_pair("first", track, det, self.FRAME) == 0.5
 
     def test_fuse_second(self):
-        assert fuse_second(1, 1, 1) == 1.0
-        assert fuse_second(0.5, 0.8, 0.748) == pytest.approx(0.2992)
-        assert fuse_second(0.0, 0.9, 0.9) == 0.0
+        rng = np.random.default_rng(5)
+        frame = rng.integers(0, 256, size=(50, 50, 3)).astype(np.uint8)
+        cfg = TrackerConfig()
+        track = _FakeTrack(self.TRACK_BOX)
+        track.appearance.update(_cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0],
+                                cfg.embedding_ema_momentum)
+        det = Detection(1, self.HALF_BOX, 0.4)
+        cues = _cues(frame, [det])[0]
+        mem = track.appearance
+        h = ap.histogram_similarities(mem.histogram[None], cues.histogram[None])[0]
+        m = ap.patch_similarities(mem.patch[None], cues.patch[None])[0]
+        assert 0.0 < h < 1.0 and 0.0 < m < 1.0
+        assert _one_pair("second", track, det, frame) == 1.0 - 0.5 * h * m
+        assert _one_pair("second", track, det, frame, use_appearance=False) == 0.5
+        # No crop on the detection side: the pair stays a candidate at similarity 0.
+        off = Detection(1, BoundingBox(60, 60, 10, 10), 0.4)
+        track.predicted_box = off.box
+        assert _one_pair("second", track, off, frame) == 1.0
 
 
 class TestHungarian:
@@ -117,13 +162,6 @@ def test_solver_permutation_equivariance(seed):
     assert mapped == base
 
 
-class _FakeTrack:
-    def __init__(self, box, class_id=0, embedding=None):
-        self.predicted_box = box
-        self.class_id = class_id
-        self.appearance = AppearanceMemory(embedding=embedding)
-
-
 class TestBuildStageMatrix:
     def test_perfect_pair_zero_cost(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
@@ -132,14 +170,16 @@ class TestBuildStageMatrix:
         e[0] = 1.0
         track = _FakeTrack(b, class_id=1, embedding=e)
         det = Detection(1, b, 0.9, class_id=1, embedding=e)
-        cost = build_stage_matrix([track], [det], "first", frame, TrackerConfig())
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
+                                  TrackerConfig())
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_iou_below_gate_forbidden(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
         track = _FakeTrack(BoundingBox(0, 0, 5, 5), class_id=1)
         det = Detection(1, BoundingBox(40, 40, 5, 5), 0.9, class_id=1)
-        cost = build_stage_matrix([track], [det], "first", frame, TrackerConfig())
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
+                                  TrackerConfig())
         assert np.isinf(cost[0, 0])
 
     def test_cross_class_forbidden(self):
@@ -147,5 +187,77 @@ class TestBuildStageMatrix:
         b = BoundingBox(10, 10, 20, 20)
         track = _FakeTrack(b, class_id=1)
         det = Detection(1, b, 0.9, class_id=2)
-        cost = build_stage_matrix([track], [det], "first", frame, TrackerConfig())
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
+                                  TrackerConfig())
         assert np.isinf(cost[0, 0])
+
+
+def _oracle(tracks, detections, cues, stage, cfg, use_appearance):
+    """The per-pair loop the array builder replaced, written out in full."""
+    gate = cfg.iou_gate_first if stage == "first" else cfg.iou_gate_second
+    ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
+    cost = np.full((len(tracks), len(detections)), FORBIDDEN)
+    for i, track in enumerate(tracks):
+        mem = track.appearance
+        for j, (det, cue) in enumerate(zip(detections, cues)):
+            if track.class_id != det.class_id or ious[i, j] < gate:
+                continue
+            sim = ious[i, j]
+            if use_appearance and stage == "first":
+                if mem.embedding is not None and cue.embedding is not None:
+                    cos = np.dot(mem.embedding, cue.embedding) / (
+                        np.linalg.norm(mem.embedding) * np.linalg.norm(cue.embedding))
+                    sim *= max(0.0, cos)
+            elif use_appearance:
+                if mem.histogram is None or cue.histogram is None:
+                    sim = 0.0
+                else:
+                    bc = np.sqrt(mem.histogram * cue.histogram).sum(axis=1)
+                    h = 1.0 - np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)).mean()
+                    m = 1.0 - np.mean((mem.patch.astype(float) - cue.patch) ** 2) / 255.0 ** 2
+                    sim *= h * m
+            cost[i, j] = 1.0 - sim
+    return cost
+
+
+def _random_unit(rng, dim):
+    v = rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def _random_box(rng):
+    # Anchored on a coarse grid so that pairs overlap often; some boxes
+    # hang off the frame and yield no crop.
+    x = rng.choice([-25.0, 10.0, 15.0, 70.0]) + rng.uniform(-3, 3)
+    y = rng.choice([-25.0, 10.0, 15.0, 50.0]) + rng.uniform(-3, 3)
+    return BoundingBox(x, y, rng.uniform(6, 30), rng.uniform(6, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["first", "second"]), st.booleans())
+def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance):
+    rng = np.random.default_rng(seed)
+    cfg = TrackerConfig(mse_patch_size=(6, 5), iou_gate_first=0.05, iou_gate_second=0.05)
+    h, w = 60, 80
+    frame = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+    dim = 6
+    tracks = []
+    for _ in range(rng.integers(0, 7)):
+        track = _FakeTrack(_random_box(rng), class_id=int(rng.integers(0, 2)))
+        if rng.uniform() < 0.8:
+            seen = detection_cues(frame, _random_box(rng), cfg.hist_bins_per_channel,
+                                  cfg.mse_patch_size,
+                                  _random_unit(rng, dim) if rng.uniform() < 0.7 else None)
+            track.appearance.update(seen, cfg.embedding_ema_momentum)
+        tracks.append(track)
+    detections = [Detection(1, _random_box(rng), float(rng.uniform()),
+                            class_id=int(rng.integers(0, 2)),
+                            embedding=_random_unit(rng, dim) if rng.uniform() < 0.7 else None)
+                  for _ in range(rng.integers(0, 7))]
+    cues = _cues(frame, detections, cfg)
+    got = build_stage_matrix(tracks, detections, stage, cues, cfg, use_appearance)
+    want = _oracle(tracks, detections, cues, stage, cfg, use_appearance)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)

@@ -115,6 +115,28 @@ class TestTrack:
                          "--out", str(out)]) == 0
         assert out.read_text()
 
+    def test_degenerate_detection_rows_run(self, tiny_seq, tmp_path, capsys):
+        det = tmp_path / "det.txt"
+        rows = (tiny_seq / "det.txt").read_text()
+        det.write_text("1,-1,30,30,12,0,0.9\n2,-1,30,30,0,12,0.4\n" + rows)
+        out = tmp_path / "res.txt"
+        assert cli.main(["track", "--seq", str(tiny_seq), "--det", str(det),
+                         "--out", str(out)]) == 0
+        assert "dropped dets:    2" in capsys.readouterr().out
+
+    def test_numerical_error_exit_1(self, tiny_seq, tmp_path, monkeypatch, capsys):
+        from sftrack import kalman
+        from sftrack.errors import NumericalError
+
+        def singular(*args, **kwargs):
+            raise NumericalError("singular innovation covariance")
+
+        monkeypatch.setattr(kalman, "update", singular)
+        code = cli.main(["track", "--seq", str(tiny_seq), "--det",
+                         str(tiny_seq / "det.txt"), "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert "NumericalError" in capsys.readouterr().err
+
     def test_unknown_flag_exit_2(self, tiny_seq, tmp_path, capsys):
         code = cli.main(["track", "--seq", str(tiny_seq), "--det",
                          str(tiny_seq / "det.txt"), "--out", str(tmp_path / "r"),

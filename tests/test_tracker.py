@@ -168,6 +168,72 @@ class TestLowInitiation:
                               det(1, 120, 80, score=0.5)])
         assert r.diagnostics.n_new_low == 1
 
+    def test_rho_gate_with_several_same_class_high(self):
+        # Three same-class high detections and one of another class; the low
+        # detection (index 4) is born only when its best same-class cosine
+        # exceeds rho. Cosines to the low vector: 0.8, 0.0, 0.6 (same class),
+        # 1.0 (other class).
+        low = np.array([0.8, 0.6, 0.0])
+        vectors = {0: np.array([1.0, 0.0, 0.0]), 1: np.array([0.0, 0.0, 1.0]),
+                   2: np.array([0.0, 1.0, 0.0]), 3: low, 4: low}
+        dets = [det(1, 5, 5, score=0.9), det(1, 40, 5, score=0.9),
+                det(1, 75, 5, score=0.9), det(1, 110, 5, score=0.9, cls=1),
+                det(1, 60, 80, score=0.5)]
+
+        def births(cfg, table):
+            t = Tracker(cfg, embeddings=table, handcrafted_fallback=False)
+            return t.step(1, FRAME, dets).diagnostics
+
+        table = {(1, j): v for j, v in vectors.items()}
+        assert births(config(rho=0.75), table).n_new_low == 1   # 0.8 > 0.75
+        assert births(config(rho=0.85), table).n_new_low == 0   # 0.8 <= 0.85
+        # The best same-class high detection lacks an embedding: the others
+        # (0.0, 0.6) decide, and the other-class 1.0 never counts.
+        del table[(1, 0)]
+        d = births(config(rho=0.65), table)
+        assert (d.n_new_high, d.n_new_low) == (4, 0)
+        # No same-class high detection has an embedding: the gate does not apply.
+        for j in (0, 1, 2):
+            table.pop((1, j), None)
+        assert births(config(rho=0.99), table).n_new_low == 1
+
+
+class TestDegenerateDetections:
+    def test_zero_width_and_height_rows_dropped(self, caplog):
+        t = Tracker(config())
+        dets = [det(1, 50, 40, w=20, h=0), det(1, 90, 40, w=0, h=20),
+                det(1, 10, 10, score=0.9)]
+        with caplog.at_level("WARNING", logger="sftrack.tracker"):
+            r = t.step(1, FRAME, dets)
+        assert r.diagnostics.n_degenerate == 2
+        assert r.diagnostics.n_high == 1 and r.diagnostics.n_low == 0
+        assert [o[2] for o in r.outputs] == [dets[2].box]
+        assert len([rec for rec in caplog.records if "zero width or height" in rec.message]) == 1
+        r2 = t.step(2, FRAME, [det(2, 11, 10, score=0.9)])
+        assert r2.diagnostics.n_degenerate == 0
+        assert r2.outputs[0][0] == r.outputs[0][0]
+
+    def test_embedding_rows_keep_file_order(self):
+        # A dropped row still takes its det_index in the embedding table.
+        e0 = np.array([1.0, 0.0])
+        e1 = np.array([0.0, 1.0])
+        table = {(1, 0): e0, (1, 1): e1}
+        t = Tracker(config(), embeddings=table, handcrafted_fallback=False)
+        t.step(1, FRAME, [det(1, 50, 40, h=0), det(1, 10, 10, score=0.9)])
+        assert np.array_equal(t.tracks[0].appearance.embedding, e1)
+
+
+class TestMemory:
+    def test_no_previous_frame_without_motion_compensation(self):
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
+        assert t._prev_image is None
+
+    def test_previous_frame_kept_for_motion_compensation(self):
+        t = Tracker(config(mc_enabled=True))
+        t.step(1, FRAME, [])
+        assert t._prev_image is FRAME
+
 
 class TestByteEquivalence:
     def test_embeddings_unused_without_provider(self):
