@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .association import FORBIDDEN, hungarian
 from .io_formats import AnnotatedBox
-from .types import iou_matrix
+from .types import iou, iou_matrix
 
 FrameBoxes = dict[int, list[AnnotatedBox]]
 
@@ -81,11 +81,10 @@ def clear_match(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> 
 
         matches: dict[int, int] = {}
         # Keep last frame's pairs while they still overlap.
-        from .types import iou as iou_pair
         for g_id, h_id in prev_matches.items():
             g = gt_by_id.get(g_id)
             h = hyp_by_id.get(h_id)
-            if g is not None and h is not None and iou_pair(g.box, h.box) >= iou_threshold:
+            if g is not None and h is not None and iou(g.box, h.box) >= iou_threshold:
                 matches[g_id] = h_id
 
         free_gt = [r for r in gt_rows if r.obj_id not in matches]
@@ -147,11 +146,9 @@ def idf1(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> Idf1Res
             hyp_len[r.obj_id] = hyp_len.get(r.obj_id, 0) + 1
         if gt_rows and hyp_rows:
             ious = iou_matrix([r.box for r in gt_rows], [r.box for r in hyp_rows])
-            for gi, g in enumerate(gt_rows):
-                for hj, h in enumerate(hyp_rows):
-                    if ious[gi, hj] >= iou_threshold:
-                        key = (g.obj_id, h.obj_id)
-                        overlap[key] = overlap.get(key, 0) + 1
+            for gi, hj in zip(*np.nonzero(ious >= iou_threshold)):
+                key = (gt_rows[gi].obj_id, hyp_rows[hj].obj_id)
+                overlap[key] = overlap.get(key, 0) + 1
 
     gt_ids = sorted(gt_len)
     hyp_ids = sorted(hyp_len)

@@ -1,11 +1,11 @@
 """Camera motion estimation and ratio-preserving track compensation.
 
 Per frame pair, corner features are detected on the previous frame
-(minimum-eigenvalue response), tracked to the current frame with pyramidal
-Lucas-Kanade, and a robust affine fit recovers the global transform. Before
-it touches any track the transform is re-scaled to use one uniform scale
-factor, the larger of its x/y factors, so box aspect ratios survive
-compensation unchanged.
+(minimum-eigenvalue response), tracked to the current frame with one forward
+pass of pyramidal Lucas-Kanade, and a RANSAC affine fit, the only outlier
+filter, recovers the global transform. Before it touches any track the
+transform is re-scaled to use one uniform scale factor, the larger of its x/y
+factors, so box aspect ratios survive compensation unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +18,18 @@ from scipy import ndimage
 from .kalman import KalmanState
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+
+# Lucas-Kanade tracking: window side and converged step in px, residual as
+# mean absolute intensity error, minimum eigenvalue per window pixel.
+LK_WINDOW = 21
+LK_LEVELS = 3
+LK_MAX_ITERATIONS = 30
+LK_EPSILON = 0.01
+LK_MAX_RESIDUAL = 25.0
+LK_MIN_EIG = 1e-3
+# RANSAC sample count and inlier reprojection error in px.
+RANSAC_ITERATIONS = 100
+RANSAC_INLIER_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +112,17 @@ def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
 
 def detect_features(image: np.ndarray, max_count: int = 200, quality: float = 0.01,
                     min_distance: float = 8.0, block_size: int = 3) -> np.ndarray:
-    """Corner points (x, y) ranked by minimum-eigenvalue response.
+    """Corner points (x, y) of a 2-D gray image, ranked by minimum-eigenvalue
+    response.
 
     No two returned points are closer than ``min_distance``; at most
     ``max_count`` points come back. A flat image yields an empty array.
     """
+    if image.ndim != 2:
+        raise ValueError(f"expected a 2-D gray image, got shape {image.shape}")
     if image.size == 0:
         raise ValueError("empty image")
     img = image.astype(np.float64)
-    if img.ndim == 3:
-        img = img @ _LUMA
     gx = ndimage.sobel(img, axis=1, mode="nearest") / 8.0
     gy = ndimage.sobel(img, axis=0, mode="nearest") / 8.0
     sxx = ndimage.uniform_filter(gx * gx, block_size, mode="nearest")
@@ -164,10 +177,10 @@ def detect_features(image: np.ndarray, max_count: int = 200, quality: float = 0.
 # ---------------------------------------------------------------------------
 # Pyramidal Lucas-Kanade
 
-def _pyramid(img: np.ndarray, levels: int) -> list[np.ndarray]:
+def _pyramid(img: np.ndarray) -> list[np.ndarray]:
     kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
     pyr = [img.astype(np.float64)]
-    for _ in range(levels - 1):
+    for _ in range(LK_LEVELS - 1):
         blurred = ndimage.convolve1d(pyr[-1], kernel, axis=0, mode="nearest")
         blurred = ndimage.convolve1d(blurred, kernel, axis=1, mode="nearest")
         pyr.append(blurred[::2, ::2])
@@ -190,18 +203,15 @@ def _sample_windows(img: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -
     return top * (1 - fy) + bot * fy
 
 
-def track_features(prev: np.ndarray, cur: np.ndarray, points: np.ndarray,
-                   window: int = 21, levels: int = 3, max_iterations: int = 30,
-                   epsilon: float = 0.01, max_residual: float = 25.0,
-                   min_eig_threshold: float = 1e-3,
-                   fb_threshold: float | None = 1.0) -> FeatureTrackResult:
+def track_features(prev: np.ndarray, cur: np.ndarray,
+                   points: np.ndarray) -> FeatureTrackResult:
     """Pyramidal coarse-to-fine Lucas-Kanade refinement of sparse points.
 
-    Status goes false when the point exits the image, its spatial-gradient
-    matrix is near singular, the iteration diverges, or the final mean
-    absolute residual exceeds ``max_residual`` intensity levels. Surviving
-    points are re-tracked backwards and dropped when the round trip misses
-    the start by more than ``fb_threshold`` pixels (None disables).
+    One forward pass; there is no backward re-track, since the RANSAC fit
+    that consumes the pairs rejects outliers. Status goes false when the
+    point exits the image, its spatial-gradient matrix is near singular, the
+    iteration diverges, or the final mean absolute residual exceeds
+    ``LK_MAX_RESIDUAL`` intensity levels.
     """
     if prev.shape != cur.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {cur.shape}")
@@ -210,48 +220,28 @@ def track_features(prev: np.ndarray, cur: np.ndarray, points: np.ndarray,
     if n == 0:
         return FeatureTrackResult(points, points.copy(), np.zeros(0, dtype=bool))
 
-    prev_pyr = _pyramid(prev, levels)
-    cur_pyr = _pyramid(cur, levels)
-    flow, alive = _pyramidal_lk(prev_pyr, cur_pyr, points, None, window,
-                                max_iterations, epsilon, max_residual,
-                                min_eig_threshold)
+    flow, alive = _pyramidal_lk(_pyramid(prev), _pyramid(cur), points)
     cur_points = points + flow
     h0, w0 = prev.shape
     inside = ((cur_points[:, 0] >= 0) & (cur_points[:, 0] < w0)
               & (cur_points[:, 1] >= 0) & (cur_points[:, 1] < h0))
-    alive &= inside
-
-    if fb_threshold is not None and alive.any():
-        idx = np.nonzero(alive)[0]
-        back_flow, back_ok = _pyramidal_lk(cur_pyr, prev_pyr, cur_points[idx],
-                                           -flow[idx], window, max_iterations,
-                                           epsilon, max_residual, min_eig_threshold)
-        round_trip = cur_points[idx] + back_flow - points[idx]
-        consistent = back_ok & (np.hypot(round_trip[:, 0], round_trip[:, 1])
-                                <= fb_threshold)
-        alive[idx[~consistent]] = False
-
-    return FeatureTrackResult(points, cur_points, alive)
+    return FeatureTrackResult(points, cur_points, alive & inside)
 
 
 def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
-                  points: np.ndarray, initial_flow: np.ndarray | None,
-                  window: int, max_iterations: int, epsilon: float,
-                  max_residual: float, min_eig_threshold: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    levels = len(prev_pyr)
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grads = [np.gradient(p) for p in prev_pyr]  # (gy, gx) per level
 
-    radius = window // 2
+    radius = LK_WINDOW // 2
     rng = np.arange(-radius, radius + 1, dtype=float)
     offsets = np.stack(np.meshgrid(rng, rng, indexing="xy"), axis=-1)  # (W, W, 2)
 
     n = len(points)
-    flow = np.zeros((n, 2)) if initial_flow is None else initial_flow.copy()
+    flow = np.zeros((n, 2))
     alive = np.ones(n, dtype=bool)
     residual = np.zeros(n)
 
-    for level in range(levels - 1, -1, -1):
+    for level in range(LK_LEVELS - 1, -1, -1):
         scale = 2.0 ** level
         img_p = prev_pyr[level]
         img_c = cur_pyr[level]
@@ -280,7 +270,7 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
         det = gxx * gyy - gxy * gxy
         trace = gxx + gyy
         min_eig = 0.5 * (trace - np.sqrt((gxx - gyy) ** 2 + 4.0 * gxy * gxy))
-        usable = (det > 1e-12) & (min_eig / (window * window) > min_eig_threshold)
+        usable = (det > 1e-12) & (min_eig / (LK_WINDOW * LK_WINDOW) > LK_MIN_EIG)
         alive[idx[~usable]] = False
         idx = idx[usable]
         if idx.size == 0:
@@ -290,7 +280,7 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
 
         d = flow[idx] / scale
         converged = np.zeros(idx.size, dtype=bool)
-        for _ in range(max_iterations):
+        for _ in range(LK_MAX_ITERATIONS):
             pending = ~converged
             if not pending.any():
                 break
@@ -315,14 +305,14 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
             d[pending] += np.stack([dx, dy], axis=1)
             res = np.abs(err).mean(axis=(1, 2))
             residual[idx[pending]] = res
-            done = np.sqrt(dx * dx + dy * dy) < epsilon
+            done = np.sqrt(dx * dx + dy * dy) < LK_EPSILON
             converged[np.nonzero(pending)[0][done]] = True
 
-        diverged = np.abs(d - flow[idx] / scale).max(axis=1) > window
+        diverged = np.abs(d - flow[idx] / scale).max(axis=1) > LK_WINDOW
         alive[idx[diverged]] = False
         flow[idx] = d * scale
 
-    alive &= residual <= max_residual
+    alive &= residual <= LK_MAX_RESIDUAL
     return flow, alive
 
 
@@ -353,7 +343,6 @@ def _fit_affine_lstsq(src: np.ndarray, dst: np.ndarray) -> AffineTransform2D | N
 
 
 def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
-                    iterations: int = 100, inlier_threshold: float = 3.0,
                     seed: int = 0) -> AffineEstimate:
     """RANSAC + least-squares affine fit from matched point pairs.
 
@@ -370,8 +359,9 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     rng = np.random.default_rng(seed)
     best_count = 0
     best_inliers: np.ndarray | None = None
-    thr2 = inlier_threshold * inlier_threshold
-    for _ in range(iterations):
+    src_h = np.column_stack([src, np.ones(n)])
+    thr2 = RANSAC_INLIER_THRESHOLD * RANSAC_INLIER_THRESHOLD
+    for _ in range(RANSAC_ITERATIONS):
         pick = rng.choice(n, size=3, replace=False)
         p = src[pick]
         # Degenerate (collinear) minimal samples cannot pin down an affine.
@@ -384,7 +374,7 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
             coef = np.linalg.solve(design, dst[pick])  # (3, 2): rows x,y,1
         except np.linalg.LinAlgError:
             continue
-        warped = np.column_stack([src, np.ones(n)]) @ coef
+        warped = src_h @ coef
         err2 = ((warped - dst) ** 2).sum(axis=1)
         inliers = err2 < thr2
         count = int(inliers.sum())
@@ -464,14 +454,12 @@ class MotionEstimate:
 
 
 def estimate_camera_motion(prev_image: np.ndarray, cur_image: np.ndarray,
-                           downscale_factor: int = 2, max_features: int = 200,
-                           quality: float = 0.01, min_distance: float = 8.0,
-                           seed: int = 0) -> MotionEstimate:
-    """Full pipeline: features on the previous frame, LK tracking, robust
-    affine fit, scale constraint. Frames may be RGB or grayscale."""
+                           downscale_factor: int = 2, seed: int = 0) -> MotionEstimate:
+    """Full pipeline: features on the previous frame, one forward LK pass,
+    RANSAC affine fit, scale constraint. Frames may be RGB or grayscale."""
     prev_gray = downscale(rgb_to_gray(prev_image), downscale_factor)
     cur_gray = downscale(rgb_to_gray(cur_image), downscale_factor)
-    points = detect_features(prev_gray, max_features, quality, min_distance)
+    points = detect_features(prev_gray)
     if len(points) == 0:
         return MotionEstimate()
     tracked = track_features(prev_gray, cur_gray, points)

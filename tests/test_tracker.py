@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftrack.config import TrackerConfig
 from sftrack.tracker import Tracker, TrackStatus, run_sequence
@@ -285,3 +286,54 @@ class TestFileEmbeddings:
         r = t.step(2, FRAME, [det(2, 52, 40, score=0.9)])
         assert r.diagnostics.used_embeddings
         assert r.diagnostics.n_matched_first == 1
+
+
+TAU = TrackerConfig().tau
+# Sizes are 0 (dropped as degenerate) or at least 1e-3 px: a subnormal
+# height makes the aspect ratio overflow, which no detector emits.
+SIZES = st.floats(0.0, 80.0).map(lambda v: 0.0 if v < 1e-3 else v)
+SCORES = st.one_of(st.sampled_from([0.0, TAU, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def detection_streams(draw):
+    """(frame, image, detections) tuples on 64x48 frames: boxes may leave
+    the image, repeat within a frame or be degenerate; frames may be empty
+    or skip indices. Each image is one random texture shifted by a few px."""
+    texture = np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(
+        0, 256, size=(48, 64, 3), dtype=np.uint8)
+    frame = 0
+    stream = []
+    for _ in range(draw(st.integers(1, 8))):
+        frame += draw(st.integers(1, 3))
+        rows = draw(st.lists(st.tuples(st.floats(-40.0, 100.0), st.floats(-40.0, 80.0),
+                                       SIZES, SIZES, SCORES, st.integers(0, 1)),
+                             max_size=6))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+        dets = [Detection(frame, BoundingBox(x, y, w, h), score, cls)
+                for x, y, w, h, score, cls in rows]
+        shift = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        stream.append((frame, np.roll(texture, shift, axis=(0, 1)), dets))
+    return stream
+
+
+@settings(max_examples=100, deadline=None)
+@given(detection_streams(), st.sampled_from([None, 1, 2]))
+def test_step_property_random_streams(stream, mc_downscale):
+    """Any such stream runs to completion, with MC off (None) or on at a
+    downscale factor, with unique ids per frame, and two fresh trackers
+    give the same outputs. Only downscale 1 yields camera estimates here:
+    the 21-px LK window does not fit the 32x24 image of downscale 2."""
+    config = (TrackerConfig(mc_enabled=False) if mc_downscale is None
+              else TrackerConfig(mc_downscale=mc_downscale))
+    runs = []
+    for _ in range(2):
+        tracker = Tracker(config)
+        outputs = []
+        for frame, image, dets in stream:
+            result = tracker.step(frame, image, dets)
+            ids = [o[0] for o in result.outputs]
+            assert len(ids) == len(set(ids)), f"frame {frame}: duplicate ids {ids}"
+            outputs.append(result.outputs)
+        runs.append(outputs)
+    assert runs[0] == runs[1]
