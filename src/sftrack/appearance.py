@@ -1,12 +1,12 @@
 """Hand-crafted appearance cues and the pluggable embedding provider.
 
 Every cue of a detection comes from one crop, taken once per frame
-(:func:`detection_cues`). Color histograms use B equal-width intensity
-levels per RGB channel (B = 8 by default: 0-31, 32-63, ..., 224-255).
+(:func:`detection_cues`). Color histograms use HIST_BINS equal-width
+intensity levels per RGB channel (0-31, 32-63, ..., 224-255).
 Histogram similarity is one minus the mean per-channel Hellinger distance.
 Crop similarity is one minus the MSE between both crops resized to a common
-patch, normalized by 255^2. The similarity functions take stacks of cues,
-so cost matrices evaluate them on all candidate pairs at once.
+patch (PATCH_SIZE), normalized by 255^2. The similarity functions take
+stacks of cues, so cost matrices evaluate them on all candidate pairs at once.
 """
 
 from __future__ import annotations
@@ -19,20 +19,26 @@ import numpy as np
 from .errors import ParseError
 from .types import BoundingBox
 
+HIST_BINS = 8
+# (width, height) every crop is resized to for the MSE cue.
+PATCH_SIZE = (32, 32)
+# Weight of a track's running embedding against a newly matched one.
+EMBEDDING_MOMENTUM = 0.9
+
 # Spatial layout of the fallback embedding: rows x cols grid of per-cell
 # 3-channel histograms, L2-normalized. 2*4 cells * 24 bins = 192 dims.
 FALLBACK_GRID = (2, 4)
 
 
-def color_histogram(crop: np.ndarray | None, bins_per_channel: int = 8) -> np.ndarray:
-    """Per-channel normalized frequencies, shape (3, bins); all zeros
+def color_histogram(crop: np.ndarray | None) -> np.ndarray:
+    """Per-channel normalized frequencies, shape (3, HIST_BINS); all zeros
     (degenerate) for an empty crop."""
-    out = np.zeros((3, bins_per_channel))
+    out = np.zeros((3, HIST_BINS))
     if crop is None or crop.size == 0:
         return out
-    idx = crop.reshape(-1, 3).astype(np.int64) // (256 // bins_per_channel)
+    idx = crop.reshape(-1, 3).astype(np.int64) // (256 // HIST_BINS)
     for c in range(3):
-        out[c] = np.bincount(idx[:, c], minlength=bins_per_channel) / idx.shape[0]
+        out[c] = np.bincount(idx[:, c], minlength=HIST_BINS) / idx.shape[0]
     return out
 
 
@@ -99,7 +105,7 @@ def extract_crop(frame: np.ndarray, box: BoundingBox) -> np.ndarray | None:
     return frame[y0:y1, x0:x1]
 
 
-def fallback_embedding(crop: np.ndarray | None, bins_per_channel: int = 8) -> np.ndarray | None:
+def fallback_embedding(crop: np.ndarray | None) -> np.ndarray | None:
     """Hand-crafted stand-in for a learned descriptor.
 
     The crop is split into a FALLBACK_GRID spatial grid; each cell contributes
@@ -111,7 +117,7 @@ def fallback_embedding(crop: np.ndarray | None, bins_per_channel: int = 8) -> np
     parts = []
     for r_block in np.array_split(crop, rows, axis=0):
         for cell in np.array_split(r_block, cols, axis=1):
-            parts.append(color_histogram(cell, bins_per_channel).ravel())
+            parts.append(color_histogram(cell).ravel())
     vec = np.concatenate(parts)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
@@ -165,18 +171,16 @@ class Cues:
     embedding: np.ndarray | None = field(repr=False)
 
 
-def detection_cues(frame: np.ndarray, box: BoundingBox, bins_per_channel: int,
-                   patch_size: tuple[int, int], embedding: np.ndarray | None = None,
+def detection_cues(frame: np.ndarray, box: BoundingBox, embedding: np.ndarray | None = None,
                    fallback: bool = False) -> Cues:
     """Crop once; derive the histogram, the MSE patch and, when ``embedding``
     is None and ``fallback`` is on, the hand-crafted embedding from it."""
     crop = extract_crop(frame, box)
     if embedding is None and fallback:
-        embedding = fallback_embedding(crop, bins_per_channel)
+        embedding = fallback_embedding(crop)
     if crop is None:
         return Cues(None, None, embedding)
-    return Cues(color_histogram(crop, bins_per_channel), resize_bilinear(crop, patch_size),
-                embedding)
+    return Cues(color_histogram(crop), resize_bilinear(crop, PATCH_SIZE), embedding)
 
 
 @dataclass
@@ -191,19 +195,19 @@ class AppearanceMemory:
     patch: np.ndarray | None = field(default=None, repr=False)
     embedding: np.ndarray | None = field(default=None, repr=False)
 
-    def update(self, cues: Cues, momentum: float) -> None:
+    def update(self, cues: Cues) -> None:
         # A degenerate crop leaves the previous histogram and patch in place.
         if cues.histogram is not None:
             self.histogram = cues.histogram
             self.patch = cues.patch.astype(np.float32)
-        self.update_embedding(cues.embedding, momentum)
+        self.update_embedding(cues.embedding)
 
-    def update_embedding(self, embedding: np.ndarray | None, momentum: float) -> None:
+    def update_embedding(self, embedding: np.ndarray | None) -> None:
         if embedding is None:
             return
         if self.embedding is None:
             self.embedding = embedding.copy()
             return
-        mixed = momentum * self.embedding + (1.0 - momentum) * embedding
+        mixed = EMBEDDING_MOMENTUM * self.embedding + (1.0 - EMBEDDING_MOMENTUM) * embedding
         norm = np.linalg.norm(mixed)
         self.embedding = mixed / norm if norm > 0 else embedding.copy()

@@ -2,7 +2,7 @@
 and the appearance gate on low-confidence track initiation.
 
 Costs live in [0, 1] (1 - fused similarity). FORBIDDEN marks pairs the
-solver must never select: IoU below the stage gate or mismatched classes.
+solver must never select: IoU below IOU_GATE or mismatched classes.
 Cues are evaluated only on the candidate pairs, as array expressions.
 """
 
@@ -15,10 +15,17 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import appearance
-from .config import TrackerConfig
 from .types import Detection, iou_matrix
 
 FORBIDDEN = np.inf
+
+# Least IoU of a candidate pair, in both stages.
+IOU_GATE = 0.1
+# Matches whose fused similarity falls below a stage's floor are demoted to
+# unmatched. The second stage multiplies three cues, so an accepted match
+# needs a lower floor than the single-cue first stage.
+MIN_FUSED_SIM_FIRST = 0.1
+MIN_FUSED_SIM_SECOND = 0.05
 
 # Finite stand-in for forbidden entries while solving; any matching that can
 # avoid it will, and post-filtering drops it if not.
@@ -88,13 +95,12 @@ def _same_class(rows: Sequence, cols: Sequence) -> np.ndarray:
 def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
                        stage: Literal["first", "second"],
                        cues: Sequence[appearance.Cues],
-                       config: TrackerConfig,
                        use_appearance: bool = True) -> np.ndarray:
     """Cost matrix for one cascade stage.
 
     ``tracks`` need ``class_id``, ``predicted_box`` and ``appearance``
     attributes; ``cues`` holds one record per detection. Entries are
-    FORBIDDEN when IoU is below the stage gate or the classes differ; the
+    FORBIDDEN when IoU is below IOU_GATE or the classes differ; the
     other pairs cost 1 - IoU x the stage's cue: embedding cosine (1 where a
     side has none) in the first stage, histogram x patch MSE similarity (0
     where a side has no crop) in the second. ``use_appearance=False`` drops
@@ -103,9 +109,8 @@ def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
     if not tracks or not detections:
         return cost
-    gate = config.iou_gate_first if stage == "first" else config.iou_gate_second
     ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
-    ti, dj = np.nonzero(_same_class(tracks, detections) & (ious >= gate))
+    ti, dj = np.nonzero(_same_class(tracks, detections) & (ious >= IOU_GATE))
     sim = ious[ti, dj]
     mem = [t.appearance for t in tracks]
     if use_appearance and stage == "first":
@@ -113,8 +118,8 @@ def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
         sim = sim * cos[ti, dj]
     elif use_appearance:
         # A missing crop stacks as an all-zero histogram, which scores 0.
-        bins = (3, config.hist_bins_per_channel)
-        patch = (config.mse_patch_size[1], config.mse_patch_size[0], 3)
+        bins = (3, appearance.HIST_BINS)
+        patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
         sim = (sim * appearance.histogram_similarities(
                    _stack([m.histogram for m in mem], bins)[ti],
                    _stack([c.histogram for c in cues], bins)[dj])

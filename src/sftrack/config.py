@@ -14,28 +14,21 @@ from .errors import ConfigError, ParseError
 
 @dataclass
 class TrackerConfig:
-    """Every tunable of the association pipeline.
+    """The method's two thresholds, the track lifetime and the three
+    components the ablation switches.
 
     ``tau`` splits detections into high/low confidence (strictly greater
     goes high). ``rho`` gates new-track initiation from low-confidence
     detections on appearance similarity. ``grace_frames`` is how many
-    consecutive unmatched frames a track survives before removal.
+    consecutive unmatched frames a track survives before removal. Fixed
+    values live beside the code that reads them (``appearance``,
+    ``association``, ``motion``).
     """
 
     tau: float = 0.7
     rho: float = 0.6
     grace_frames: int = 30
-    hist_bins_per_channel: int = 8
-    mse_patch_size: tuple[int, int] = (32, 32)
-    iou_gate_first: float = 0.1
-    iou_gate_second: float = 0.1
-    min_fused_sim_first: float = 0.1
-    # The second stage multiplies three cues, so an accepted match needs a
-    # lower floor than the single-cue first stage.
-    min_fused_sim_second: float = 0.05
-    embedding_ema_momentum: float = 0.9
     mc_enabled: bool = True
-    mc_downscale: int = 2
     low_init_enabled: bool = True
     traditional_second_assoc: bool = True
 
@@ -43,22 +36,12 @@ class TrackerConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("tau", "rho", "iou_gate_first", "iou_gate_second",
-                     "min_fused_sim_first", "min_fused_sim_second",
-                     "embedding_ema_momentum"):
+        for name in ("tau", "rho"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0,1], got {v}")
         if self.grace_frames < 1:
             raise ConfigError(f"grace_frames must be >= 1, got {self.grace_frames}")
-        if self.hist_bins_per_channel < 1 or 256 % self.hist_bins_per_channel != 0:
-            raise ConfigError(
-                f"hist_bins_per_channel must divide 256, got {self.hist_bins_per_channel}")
-        w, h = self.mse_patch_size
-        if w < 1 or h < 1:
-            raise ConfigError(f"mse_patch_size must be positive, got {self.mse_patch_size}")
-        if self.mc_downscale < 1:
-            raise ConfigError(f"mc_downscale must be >= 1, got {self.mc_downscale}")
 
     def to_text(self) -> str:
         lines = []
@@ -89,8 +72,6 @@ class TrackerConfig:
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ",".join(_format_value(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -106,9 +87,6 @@ def _parse_value(key: str, raw: str, annotation: str, source, lineno):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if "tuple" in ann:
-            parts = [p.strip() for p in raw.split(",")]
-            return tuple(int(p) for p in parts)
         if "int" in ann:
             return int(raw)
         return float(raw)

@@ -19,6 +19,9 @@ from .kalman import KalmanState
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
+# Integer factor frames are downscaled by before motion estimation.
+MC_DOWNSCALE = 2
+
 # Lucas-Kanade tracking: window side and converged step in px, residual as
 # mean absolute intensity error, minimum eigenvalue per window pixel.
 LK_WINDOW = 21
@@ -454,18 +457,17 @@ class MotionEstimate:
 
 
 def estimate_camera_motion(prev_image: np.ndarray, cur_image: np.ndarray,
-                           downscale_factor: int = 2, seed: int = 0) -> MotionEstimate:
+                           seed: int = 0) -> MotionEstimate:
     """Full pipeline: features on the previous frame, one forward LK pass,
     RANSAC affine fit, scale constraint. Frames may be RGB or grayscale."""
-    prev_gray = downscale(rgb_to_gray(prev_image), downscale_factor)
-    cur_gray = downscale(rgb_to_gray(cur_image), downscale_factor)
+    prev_gray = downscale(rgb_to_gray(prev_image), MC_DOWNSCALE)
+    cur_gray = downscale(rgb_to_gray(cur_image), MC_DOWNSCALE)
     points = detect_features(prev_gray)
     if len(points) == 0:
         return MotionEstimate()
     tracked = track_features(prev_gray, cur_gray, points)
     prev_pts, cur_pts = tracked.matched_pairs()
-    estimate = estimate_affine(prev_pts * downscale_factor, cur_pts * downscale_factor,
-                               seed=seed)
+    estimate = estimate_affine(prev_pts * MC_DOWNSCALE, cur_pts * MC_DOWNSCALE, seed=seed)
     constrained = constrain_scale(estimate.transform)
     return MotionEstimate(
         transform=constrained,

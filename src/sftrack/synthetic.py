@@ -314,7 +314,9 @@ def build_annotations(spec: ScenarioSpec) -> tuple[dict[int, list[AnnotatedBox]]
     for k in range(1, spec.frames + 1):
         w2i = w2i_list[k - 1]
         boxes = [_gt_box(obj, k, w2i) for obj in spec.objects]
-        occluder_boxes = [_occluder_box(o, w2i) for o in spec.occluders]
+        # Later objects and then occluders draw on top of an object.
+        layers = boxes + [_occluder_box(o, w2i) for o in spec.occluders]
+        edges = np.array([[b.left, b.top, b.right, b.bottom] for b in layers])
         gt_rows: list[AnnotatedBox] = []
         det_rows: list[Detection] = []
         for i, (obj, box) in enumerate(zip(spec.objects, boxes)):
@@ -322,8 +324,13 @@ def build_annotations(spec: ScenarioSpec) -> tuple[dict[int, list[AnnotatedBox]]
             if not (0 <= cx < spec.width and 0 <= cy < spec.height):
                 continue
             gt_rows.append(AnnotatedBox(k, i + 1, box, 1.0, obj.class_id))
-            covers = boxes[i + 1:] + occluder_boxes  # later layers draw on top
-            occ_frac = _occluded_fraction(box, covers)
+            # Only a layer that overlaps the box can cover one of its samples,
+            # which lie in [left, right] x [top, bottom].
+            above = edges[i + 1:]
+            overlaps = ((above[:, 0] <= box.right) & (above[:, 2] > box.left)
+                        & (above[:, 1] <= box.bottom) & (above[:, 3] > box.top))
+            occ_frac = _occluded_fraction(
+                box, [layers[i + 1 + j] for j in np.flatnonzero(overlaps)])
             if occ_frac >= noise.occlusion_drop:
                 continue
             if noise.dropout > 0.0:

@@ -48,15 +48,14 @@ class TrackStatus(enum.Enum):
 class Track:
     """An identity-preserving trajectory owned by a single tracker."""
 
-    def __init__(self, track_id: int, detection: Detection, cues: appearance.Cues,
-                 momentum: float):
+    def __init__(self, track_id: int, detection: Detection, cues: appearance.Cues):
         self.track_id = track_id
         self.class_id = detection.class_id
         self.status = TrackStatus.ACTIVE
         self.kalman_state = kalman.initiate(to_cxcyah(detection.box))
         self.miss_count = 0
         self.appearance = appearance.AppearanceMemory()
-        self.appearance.update(cues, momentum)
+        self.appearance.update(cues)
 
     @property
     def predicted_box(self) -> BoundingBox:
@@ -65,12 +64,11 @@ class Track:
             return BoundingBox(cx, cy, 0.0, 0.0)
         return from_cxcyah(cx, cy, a, h)
 
-    def mark_matched(self, detection: Detection, cues: appearance.Cues,
-                     momentum: float) -> None:
+    def mark_matched(self, detection: Detection, cues: appearance.Cues) -> None:
         self.kalman_state = kalman.update(self.kalman_state, to_cxcyah(detection.box))
         self.status = TrackStatus.ACTIVE
         self.miss_count = 0
-        self.appearance.update(cues, momentum)
+        self.appearance.update(cues)
 
     def mark_missed(self, grace_frames: int) -> bool:
         """Returns True when the track was removed."""
@@ -130,7 +128,7 @@ class Tracker:
     # -- helpers ------------------------------------------------------------
 
     def _start_track(self, det: Detection, cues: appearance.Cues) -> Track:
-        track = Track(self._next_id, det, cues, self.config.embedding_ema_momentum)
+        track = Track(self._next_id, det, cues)
         self._next_id += 1
         self.tracks.append(track)
         return track
@@ -157,11 +155,8 @@ class Tracker:
             if det.box.is_degenerate:
                 diag.n_degenerate += 1
                 continue
-            embedding = det.embedding
-            if embedding is None and self.embeddings is not None:
-                embedding = self.embeddings.get((frame_index, j))
-            cues = appearance.detection_cues(image, det.box, cfg.hist_bins_per_channel,
-                                             cfg.mse_patch_size, embedding,
+            embedding = None if self.embeddings is None else self.embeddings.get((frame_index, j))
+            cues = appearance.detection_cues(image, det.box, embedding,
                                              fallback=self.handcrafted_fallback)
             high = det.score > cfg.tau
             (d_high if high else d_low).append(det)
@@ -171,14 +166,13 @@ class Tracker:
                         frame_index, diag.n_degenerate)
         diag.n_high, diag.n_low = len(d_high), len(d_low)
 
-        # Predict, then compensate camera motion.
-        live = [t for t in self.tracks if t.status != TrackStatus.REMOVED]
+        # Predict, then compensate camera motion. Removed tracks have left
+        # self.tracks, so every track in it is live.
+        live = self.tracks
         for track in live:
             track.kalman_state = kalman.predict(track.kalman_state)
         if cfg.mc_enabled and self._prev_image is not None and live:
-            estimate = motion.estimate_camera_motion(
-                self._prev_image, image, downscale_factor=cfg.mc_downscale,
-                seed=frame_index)
+            estimate = motion.estimate_camera_motion(self._prev_image, image, seed=frame_index)
             diag.motion = estimate
             # A collapsed fit cannot be applied to track states; treat the
             # frame as having no usable camera estimate.
@@ -193,35 +187,36 @@ class Tracker:
             diag.predicted_boxes[track.track_id] = track.predicted_box
 
         # First association: all live tracks vs high-confidence detections.
-        cost = association.build_stage_matrix(live, d_high, "first", c_high, cfg,
+        cost = association.build_stage_matrix(live, d_high, "first", c_high,
                                               use_appearance=use_embeddings)
         diag.used_embeddings = bool(
             use_embeddings and any(t.appearance.embedding is not None for t in live)
             and any(c.embedding is not None for c in c_high))
-        first = association.hungarian(cost, cfg.min_fused_sim_first)
+        first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
         outputs: list[tuple[int, int, BoundingBox, float]] = []
         for ti, dj in first.matches:
             track, det = live[ti], d_high[dj]
-            track.mark_matched(det, c_high[dj], cfg.embedding_ema_momentum)
+            track.mark_matched(det, c_high[dj])
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_first = len(first.matches)
 
         # Second association: leftovers vs low-confidence detections.
         remaining = [live[i] for i in first.unmatched_rows]
         cost2 = association.build_stage_matrix(
-            remaining, d_low, "second", c_low, cfg,
-            use_appearance=cfg.traditional_second_assoc)
-        second = association.hungarian(cost2, cfg.min_fused_sim_second)
+            remaining, d_low, "second", c_low, use_appearance=cfg.traditional_second_assoc)
+        second = association.hungarian(cost2, association.MIN_FUSED_SIM_SECOND)
         for ti, dj in second.matches:
             track, det = remaining[ti], d_low[dj]
-            track.mark_matched(det, c_low[dj], cfg.embedding_ema_momentum)
+            track.mark_matched(det, c_low[dj])
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_second = len(second.matches)
 
-        # Lifecycle for unmatched tracks.
+        # Lifecycle for unmatched tracks; removed ones leave the tracker.
         for i in second.unmatched_rows:
             if remaining[i].mark_missed(cfg.grace_frames):
                 diag.n_removed += 1
+        if diag.n_removed:
+            self.tracks = [t for t in live if t.status != TrackStatus.REMOVED]
 
         # New tracks from unmatched high detections.
         for dj in first.unmatched_cols:

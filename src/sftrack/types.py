@@ -7,7 +7,7 @@ matching the on-disk detection/result file semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,12 +104,7 @@ class Detection:
     box: BoundingBox
     score: float
     class_id: int = 0
-    embedding: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score outside [0,1]: {self.score}")
-        if self.embedding is not None:
-            norm = float(np.linalg.norm(self.embedding))
-            if abs(norm - 1.0) > 1e-6:
-                raise ValueError(f"detection embedding norm {norm} is not unit")

@@ -109,7 +109,7 @@ class TestScaledMse:
     def test_empty_is_zero(self):
         # A detection without a crop has no patch; the cost builder then
         # scores the pair 0 without calling the similarity.
-        cues = ap.detection_cues(solid(1, 1, 1), BoundingBox(20, 20, 4, 4), 8, (32, 32))
+        cues = ap.detection_cues(solid(1, 1, 1), BoundingBox(20, 20, 4, 4))
         assert cues.histogram is None and cues.patch is None
 
 
@@ -227,22 +227,22 @@ class TestAppearanceMemory:
         for _ in range(20):
             v = rng.normal(size=16)
             v /= np.linalg.norm(v)
-            mem.update_embedding(v, momentum=0.9)
+            mem.update_embedding(v)
             assert np.linalg.norm(mem.embedding) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_crop_keeps_previous(self):
         frame = solid(10, 20, 30)
         mem = ap.AppearanceMemory()
-        mem.update(ap.detection_cues(frame, BoundingBox(0, 0, 8, 8), 8, (4, 4)), 0.9)
+        mem.update(ap.detection_cues(frame, BoundingBox(0, 0, 8, 8)))
         before = mem.patch.copy()
-        mem.update(ap.detection_cues(frame, BoundingBox(20, 20, 4, 4), 8, (4, 4)), 0.9)
+        mem.update(ap.detection_cues(frame, BoundingBox(20, 20, 4, 4)))
         assert np.array_equal(mem.patch, before)
 
     def test_patch_stored_as_float32(self):
         frame = solid(10, 20, 30)
-        cues = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8), 8, (4, 4))
+        cues = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
         mem = ap.AppearanceMemory()
-        mem.update(cues, 0.9)
+        mem.update(cues)
         assert cues.patch.dtype == np.float64
         assert mem.patch.dtype == np.float32
         assert mem.histogram is cues.histogram
@@ -254,13 +254,12 @@ class TestDetectionCues:
         frame = rng.integers(0, 256, size=(30, 40, 3)).astype(np.uint8)
         box = BoundingBox(5, 6, 12, 9)
         crop = ap.extract_crop(frame, box)
-        cues = ap.detection_cues(frame, box, 8, (6, 5), fallback=True)
-        assert np.array_equal(cues.histogram, ap.color_histogram(crop, 8))
-        assert np.array_equal(cues.patch, ap.resize_bilinear(crop, (6, 5)))
-        assert np.array_equal(cues.embedding, ap.fallback_embedding(crop, 8))
+        cues = ap.detection_cues(frame, box, fallback=True)
+        assert np.array_equal(cues.histogram, ap.color_histogram(crop))
+        assert np.array_equal(cues.patch, ap.resize_bilinear(crop, ap.PATCH_SIZE))
+        assert np.array_equal(cues.embedding, ap.fallback_embedding(crop))
 
     def test_given_embedding_wins_over_fallback(self):
         e = np.array([0.6, 0.8])
-        cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(0, 0, 4, 4), 8, (4, 4),
-                                 embedding=e, fallback=True)
+        cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(0, 0, 4, 4), e, fallback=True)
         assert cues.embedding is e

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftrack import appearance as ap
-from sftrack.association import FORBIDDEN, build_stage_matrix, hungarian
+from sftrack.association import FORBIDDEN, IOU_GATE, build_stage_matrix, hungarian
 from sftrack.appearance import AppearanceMemory, detection_cues
-from sftrack.config import TrackerConfig
 from sftrack.types import BoundingBox, Detection, iou_matrix
 
 
@@ -30,14 +29,13 @@ class _FakeTrack:
         self.appearance = AppearanceMemory(embedding=embedding)
 
 
-def _cues(frame, dets, cfg=TrackerConfig()):
-    return [detection_cues(frame, d.box, cfg.hist_bins_per_channel, cfg.mse_patch_size,
-                           d.embedding) for d in dets]
+def _cues(frame, dets, embeddings=None):
+    embeddings = embeddings or [None] * len(dets)
+    return [detection_cues(frame, d.box, e) for d, e in zip(dets, embeddings)]
 
 
-def _one_pair(stage, track, det, frame, use_appearance=True):
-    cfg = TrackerConfig()
-    cost = build_stage_matrix([track], [det], stage, _cues(frame, [det], cfg), cfg,
+def _one_pair(stage, track, det, frame, embedding=None, use_appearance=True):
+    cost = build_stage_matrix([track], [det], stage, _cues(frame, [det], [embedding]),
                               use_appearance=use_appearance)
     return float(cost[0, 0])
 
@@ -52,10 +50,11 @@ class TestFuse:
     def test_fuse_first(self):
         e_t = np.array([1.0, 0.0])
         track = _FakeTrack(self.TRACK_BOX, embedding=e_t)
-        same = Detection(1, self.TRACK_BOX, 0.9, embedding=e_t)
-        assert _one_pair("first", track, same, self.FRAME) == 0.0
-        tilted = Detection(1, self.HALF_BOX, 0.9, embedding=np.array([0.8, 0.6]))
-        assert _one_pair("first", track, tilted, self.FRAME) == pytest.approx(1 - 0.4)
+        same = Detection(1, self.TRACK_BOX, 0.9)
+        assert _one_pair("first", track, same, self.FRAME, e_t) == 0.0
+        tilted = Detection(1, self.HALF_BOX, 0.9)
+        assert _one_pair("first", track, tilted, self.FRAME,
+                         np.array([0.8, 0.6])) == pytest.approx(1 - 0.4)
 
     def test_fuse_first_without_embedding(self):
         track = _FakeTrack(self.TRACK_BOX, embedding=np.array([1.0, 0.0]))
@@ -65,10 +64,8 @@ class TestFuse:
     def test_fuse_second(self):
         rng = np.random.default_rng(5)
         frame = rng.integers(0, 256, size=(50, 50, 3)).astype(np.uint8)
-        cfg = TrackerConfig()
         track = _FakeTrack(self.TRACK_BOX)
-        track.appearance.update(_cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0],
-                                cfg.embedding_ema_momentum)
+        track.appearance.update(_cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0])
         det = Detection(1, self.HALF_BOX, 0.4)
         cues = _cues(frame, [det])[0]
         mem = track.appearance
@@ -169,17 +166,15 @@ class TestBuildStageMatrix:
         e = np.zeros(8)
         e[0] = 1.0
         track = _FakeTrack(b, class_id=1, embedding=e)
-        det = Detection(1, b, 0.9, class_id=1, embedding=e)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
-                                  TrackerConfig())
+        det = Detection(1, b, 0.9, class_id=1)
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det], [e]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_iou_below_gate_forbidden(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
         track = _FakeTrack(BoundingBox(0, 0, 5, 5), class_id=1)
         det = Detection(1, BoundingBox(40, 40, 5, 5), 0.9, class_id=1)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
-                                  TrackerConfig())
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
 
     def test_cross_class_forbidden(self):
@@ -187,20 +182,18 @@ class TestBuildStageMatrix:
         b = BoundingBox(10, 10, 20, 20)
         track = _FakeTrack(b, class_id=1)
         det = Detection(1, b, 0.9, class_id=2)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]),
-                                  TrackerConfig())
+        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
 
 
-def _oracle(tracks, detections, cues, stage, cfg, use_appearance):
+def _oracle(tracks, detections, cues, stage, use_appearance):
     """The per-pair loop the array builder replaced, written out in full."""
-    gate = cfg.iou_gate_first if stage == "first" else cfg.iou_gate_second
     ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
     for i, track in enumerate(tracks):
         mem = track.appearance
         for j, (det, cue) in enumerate(zip(detections, cues)):
-            if track.class_id != det.class_id or ious[i, j] < gate:
+            if track.class_id != det.class_id or ious[i, j] < IOU_GATE:
                 continue
             sim = ious[i, j]
             if use_appearance and stage == "first":
@@ -237,7 +230,6 @@ def _random_box(rng):
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["first", "second"]), st.booleans())
 def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance):
     rng = np.random.default_rng(seed)
-    cfg = TrackerConfig(mse_patch_size=(6, 5), iou_gate_first=0.05, iou_gate_second=0.05)
     h, w = 60, 80
     frame = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
     dim = 6
@@ -245,18 +237,17 @@ def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance)
     for _ in range(rng.integers(0, 7)):
         track = _FakeTrack(_random_box(rng), class_id=int(rng.integers(0, 2)))
         if rng.uniform() < 0.8:
-            seen = detection_cues(frame, _random_box(rng), cfg.hist_bins_per_channel,
-                                  cfg.mse_patch_size,
+            seen = detection_cues(frame, _random_box(rng),
                                   _random_unit(rng, dim) if rng.uniform() < 0.7 else None)
-            track.appearance.update(seen, cfg.embedding_ema_momentum)
+            track.appearance.update(seen)
         tracks.append(track)
     detections = [Detection(1, _random_box(rng), float(rng.uniform()),
-                            class_id=int(rng.integers(0, 2)),
-                            embedding=_random_unit(rng, dim) if rng.uniform() < 0.7 else None)
+                            class_id=int(rng.integers(0, 2)))
                   for _ in range(rng.integers(0, 7))]
-    cues = _cues(frame, detections, cfg)
-    got = build_stage_matrix(tracks, detections, stage, cues, cfg, use_appearance)
-    want = _oracle(tracks, detections, cues, stage, cfg, use_appearance)
+    cues = _cues(frame, detections, [_random_unit(rng, dim) if rng.uniform() < 0.7 else None
+                                     for _ in detections])
+    got = build_stage_matrix(tracks, detections, stage, cues, use_appearance)
+    want = _oracle(tracks, detections, cues, stage, use_appearance)
     assert got.shape == want.shape
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)

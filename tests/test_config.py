@@ -1,7 +1,18 @@
+import re
+from pathlib import Path
+
 import pytest
 
+from sftrack import appearance, association, motion
 from sftrack.config import TrackerConfig, parse_sections
 from sftrack.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Keys that are fixed values of the modules that read them, not settings.
+FIXED_KEYS = ["hist_bins_per_channel", "mse_patch_size", "iou_gate_first", "iou_gate_second",
+              "min_fused_sim_first", "min_fused_sim_second", "embedding_ema_momentum",
+              "mc_downscale"]
 
 
 class TestDefaults:
@@ -9,29 +20,34 @@ class TestDefaults:
         c = TrackerConfig()
         assert c.tau == 0.7
         assert c.grace_frames == 30
-        assert c.hist_bins_per_channel == 8
+        assert appearance.HIST_BINS == 8
 
     def test_other_defaults(self):
         c = TrackerConfig()
         assert c.rho == 0.6
-        assert c.mse_patch_size == (32, 32)
-        assert c.iou_gate_first == 0.1
-        assert c.min_fused_sim_first == 0.1
-        assert c.min_fused_sim_second == 0.05
-        assert c.embedding_ema_momentum == 0.9
         assert c.mc_enabled and c.low_init_enabled and c.traditional_second_assoc
-        assert c.mc_downscale == 2
+        assert appearance.PATCH_SIZE == (32, 32)
+        assert appearance.EMBEDDING_MOMENTUM == 0.9
+        assert association.IOU_GATE == 0.1
+        assert association.MIN_FUSED_SIM_FIRST == 0.1
+        assert association.MIN_FUSED_SIM_SECOND == 0.05
+        assert motion.MC_DOWNSCALE == 2
 
     def test_file_matches_builtins(self, tmp_path):
         path = tmp_path / "tracker.cfg"
         TrackerConfig().to_file(path)
         assert TrackerConfig.from_file(path) == TrackerConfig()
 
+    def test_readme_table_matches_builtins(self):
+        section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.M)
+        assert rows
+        assert "".join(f"{key} = {value}\n" for key, value in rows) == TrackerConfig().to_text()
+
 
 class TestRoundTrip:
     def test_serialize_parse_serialize_byte_identical(self):
-        c = TrackerConfig(tau=0.65, rho=0.55, grace_frames=12,
-                          mse_patch_size=(16, 24), mc_enabled=False)
+        c = TrackerConfig(tau=0.65, rho=0.55, grace_frames=12, mc_enabled=False)
         text = c.to_text()
         assert TrackerConfig.from_text(text).to_text() == text
 
@@ -47,6 +63,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not_a_key"):
             TrackerConfig.from_text("not_a_key = 3\n")
 
+    @pytest.mark.parametrize("key", FIXED_KEYS)
+    def test_fixed_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            TrackerConfig.from_text(f"tau = 0.5\n{key} = 2\n")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             TrackerConfig.from_text("tau = banana\n")
@@ -55,9 +76,9 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrackerConfig(tau=1.5)
         with pytest.raises(ConfigError):
-            TrackerConfig(grace_frames=0)
+            TrackerConfig(rho=-0.1)
         with pytest.raises(ConfigError):
-            TrackerConfig(hist_bins_per_channel=7)
+            TrackerConfig(grace_frames=0)
 
 
 class TestSections:

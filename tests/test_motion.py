@@ -227,7 +227,7 @@ class TestEndToEnd:
         img = textured((200, 260), seed=11)
         rgb = np.clip(img, 0, 255).astype(np.uint8)[..., None].repeat(3, axis=2)
         shifted = np.roll(rgb, 6, axis=1)  # content moves +6 px in x
-        est = estimate_camera_motion(rgb, shifted, downscale_factor=2, seed=1)
+        est = estimate_camera_motion(rgb, shifted, seed=1)
         assert not est.fallback
         assert est.transform.translation[0] == pytest.approx(6.0, abs=0.25)
         assert abs(est.transform.translation[1]) < 0.25
@@ -252,7 +252,7 @@ class TestSceneAccuracy:
         prev = sequence.read_frame(1)
         for k in range(2, spec.frames + 1):
             cur = sequence.read_frame(k)
-            est = estimate_camera_motion(prev, cur, downscale_factor=2, seed=k)
+            est = estimate_camera_motion(prev, cur, seed=k)
             assert not est.fallback, f"frame {k}: fallback"
             diff = est.transform.apply(probes) - truth[k - 1].apply(probes)
             errors.append(float(np.hypot(diff[:, 0], diff[:, 1]).max()))

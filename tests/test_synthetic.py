@@ -133,6 +133,34 @@ class TestOcclusion:
         assert scores[2] == pytest.approx(0.9)
         assert min(s for s in scores.values() if s is not None) < 0.5
 
+    def test_scores_match_test_against_every_layer(self):
+        # The per-object reference: every later object and every occluder is
+        # tested, overlapping or not.
+        from sftrack.synthetic import OccluderSpec, _gt_box, _occluded_fraction, _occluder_box
+        rng = np.random.default_rng(3)
+        objects = [ObjectSpec(class_id=4, width=rng.uniform(4, 30), height=rng.uniform(4, 30),
+                              x=rng.uniform(-10, 170), y=rng.uniform(-10, 130), path="linear",
+                              vx=rng.uniform(-3, 3), vy=rng.uniform(-3, 3))
+                   for _ in range(60)]
+        spec = tiny_spec(frames=8, objects=objects,
+                         camera=CameraSpec(pattern="zigzag", rot_amp_deg=2.0, trans_amp_x=4.0),
+                         occluders=[OccluderSpec(x=80, y=60, width=20, height=60)],
+                         noise=NoiseSpec(conf_floor=0.9, conf_ceil=0.9, conf_knee_area=1.0,
+                                         occlusion_penalty=0.5, occlusion_drop=0.6))
+        gt, dets, _m, w2i = build_annotations(spec)
+        fractions = []
+        for k, rows in gt.items():
+            boxes = [_gt_box(obj, k, w2i[k - 1]) for obj in spec.objects]
+            layers = boxes + [_occluder_box(occ, w2i[k - 1]) for occ in spec.occluders]
+            want = []
+            for row in rows:
+                frac = _occluded_fraction(row.box, layers[row.obj_id:])
+                fractions.append(frac)
+                if frac < 0.6:
+                    want.append(0.9 - 0.5 * frac)
+            assert [d.score for d in dets[k]] == want
+        assert any(0.0 < f < 0.6 for f in fractions) and any(f >= 0.6 for f in fractions)
+
 
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):

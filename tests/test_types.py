@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,9 +107,3 @@ class TestDetection:
             Detection(1, box(0, 0, 5, 5), 1.5)
         with pytest.raises(ValueError):
             Detection(1, box(0, 0, 5, 5), -0.1)
-
-    def test_embedding_must_be_unit(self):
-        good = np.array([0.6, 0.8])
-        Detection(1, box(0, 0, 5, 5), 0.5, embedding=good)
-        with pytest.raises(ValueError):
-            Detection(1, box(0, 0, 5, 5), 0.5, embedding=np.array([1.0, 1.0]))
