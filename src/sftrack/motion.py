@@ -1,9 +1,10 @@
 """Camera motion estimation and ratio-preserving track compensation.
 
-Per frame pair, corner features are detected on the previous frame
-(minimum-eigenvalue response), tracked to the current frame with one forward
-pass of pyramidal Lucas-Kanade, and a RANSAC affine fit, the only outlier
-filter, recovers the global transform. Before it touches any track the
+Each frame is reduced once to a downscaled gray image (``motion_gray``),
+which serves both frame pairs it belongs to. Per frame pair, corner features
+are detected on the previous frame (minimum-eigenvalue response), tracked to
+the current frame with one forward pass of pyramidal Lucas-Kanade, and a
+RANSAC affine fit, the only outlier filter, recovers the global transform. Before it touches any track the
 transform is re-scaled to use one uniform scale factor, the larger of its x/y
 factors, so box aspect ratios survive compensation unchanged.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .kalman import KalmanState
@@ -93,10 +95,16 @@ class FeatureTrackResult:
 
 
 def rgb_to_gray(image: np.ndarray) -> np.ndarray:
-    """ITU-R 601 luma, rounded to the nearest integer, uint8."""
+    """ITU-R 601 luma, rounded to the nearest integer and clipped to
+    [0, 255], uint8. A 2-D image is taken as luma already; uint8 input is
+    returned as it is."""
     if image.ndim == 2:
-        return image.astype(np.uint8, copy=False)
-    return np.rint(image.astype(np.float64) @ _LUMA).clip(0, 255).astype(np.uint8)
+        if image.dtype == np.uint8:
+            return image
+        luma = image.astype(np.float64)
+    else:
+        luma = image.astype(np.float64) @ _LUMA
+    return np.rint(luma).clip(0, 255).astype(np.uint8)
 
 
 def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
@@ -108,6 +116,13 @@ def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
     h2, w2 = h // factor, w // factor
     cropped = gray[:h2 * factor, :w2 * factor].astype(np.float64)
     return cropped.reshape(h2, factor, w2, factor).mean(axis=(1, 3))
+
+
+def motion_gray(image: np.ndarray) -> np.ndarray:
+    """The image motion estimation works on: luma downscaled by
+    ``MC_DOWNSCALE``, float64. Make it once per frame; it serves as the
+    current frame of one pair and the previous frame of the next."""
+    return downscale(rgb_to_gray(image), MC_DOWNSCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +205,35 @@ def _pyramid(img: np.ndarray) -> list[np.ndarray]:
     return pyr
 
 
-def _sample_windows(img: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Bilinear samples of (N,) center points at (W,W) offsets -> (N, W, W)."""
+def _sample_windows(img: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Bilinear samples of the LK window around each of (N,) center points
+    -> (N, W, W).
+
+    Window offsets are whole pixels, so each point's samples share one
+    weight per column and one per row: the window is blended from one
+    (W+1, W+1) block of ``img``, first along rows, then down columns, and
+    adjacent window rows reuse the same row blend. The caller keeps every
+    window inside the image. Sample positions are clipped to ``w - 1.001``
+    (``h - 1.001``), as a per-sample clip would; this moves only the last
+    column (row) of a window whose center lies within 0.001 px of the upper
+    margin.
+    """
     h, w = img.shape
-    px = centers[:, 0][:, None, None] + offsets[None, :, :, 0]
-    py = centers[:, 1][:, None, None] + offsets[None, :, :, 1]
-    px = np.clip(px, 0.0, w - 1.001)
-    py = np.clip(py, 0.0, h - 1.001)
-    x0 = px.astype(int)
-    y0 = py.astype(int)
-    fx = px - x0
-    fy = py - y0
-    top = img[y0, x0] * (1 - fx) + img[y0, x0 + 1] * fx
-    bot = img[y0 + 1, x0] * (1 - fx) + img[y0 + 1, x0 + 1] * fx
-    return top * (1 - fy) + bot * fy
+    radius = LK_WINDOW // 2
+    steps = np.arange(-radius, radius + 1, dtype=float)
+    px = np.clip(centers[:, 0:1] + steps, 0.0, w - 1.001)  # (N, W) per column
+    py = np.clip(centers[:, 1:2] + steps, 0.0, h - 1.001)  # (N, W) per row
+    x0 = px[:, 0].astype(int)
+    y0 = py[:, 0].astype(int)
+    # Weights relative to the block's columns x0 + j and rows y0 + i.
+    fx = (px - (x0[:, None] + np.arange(LK_WINDOW)))[:, None, :]
+    fy = (py - (y0[:, None] + np.arange(LK_WINDOW)))[:, :, None]
+    block = sliding_window_view(img, (LK_WINDOW + 1, LK_WINDOW + 1))[y0, x0]
+    rows = block[:, :, :-1] * (1 - fx)
+    rows += block[:, :, 1:] * fx
+    out = rows[:, :-1] * (1 - fy)
+    out += rows[:, 1:] * fy
+    return out
 
 
 def track_features(prev: np.ndarray, cur: np.ndarray,
@@ -236,9 +266,6 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
     grads = [np.gradient(p) for p in prev_pyr]  # (gy, gx) per level
 
     radius = LK_WINDOW // 2
-    rng = np.arange(-radius, radius + 1, dtype=float)
-    offsets = np.stack(np.meshgrid(rng, rng, indexing="xy"), axis=-1)  # (W, W, 2)
-
     n = len(points)
     flow = np.zeros((n, 2))
     alive = np.ones(n, dtype=bool)
@@ -264,9 +291,9 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
             continue
 
         idx = np.nonzero(active)[0]
-        tmpl = _sample_windows(img_p, pl[idx], offsets)
-        tx = _sample_windows(gx, pl[idx], offsets)
-        ty = _sample_windows(gy, pl[idx], offsets)
+        tmpl = _sample_windows(img_p, pl[idx])
+        tx = _sample_windows(gx, pl[idx])
+        ty = _sample_windows(gy, pl[idx])
         gxx = (tx * tx).sum(axis=(1, 2))
         gxy = (tx * ty).sum(axis=(1, 2))
         gyy = (ty * ty).sum(axis=(1, 2))
@@ -282,34 +309,34 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
         gxx, gxy, gyy, det = gxx[usable], gxy[usable], gyy[usable], det[usable]
 
         d = flow[idx] / scale
-        converged = np.zeros(idx.size, dtype=bool)
+        # Per-point arrays of the points still iterating, as rows of idx;
+        # converged and lost points drop out.
+        k = np.arange(idx.size)
         for _ in range(LK_MAX_ITERATIONS):
-            pending = ~converged
-            if not pending.any():
-                break
-            pos = pl[idx[pending]] + d[pending]
+            pos = pl[idx[k]] + d[k]
             oob = ((pos[:, 0] < margin) | (pos[:, 0] >= w - margin)
                    | (pos[:, 1] < margin) | (pos[:, 1] >= h - margin))
             if oob.any():
-                bad = np.nonzero(pending)[0][oob]
-                alive[idx[bad]] = False
-                converged[bad] = True
-                pending = ~converged
-                if not pending.any():
+                alive[idx[k[oob]]] = False
+                keep = ~oob
+                k, pos, tmpl, tx, ty, gxx, gxy, gyy, det = (
+                    a[keep] for a in (k, pos, tmpl, tx, ty, gxx, gxy, gyy, det))
+                if k.size == 0:
                     break
-                pos = pl[idx[pending]] + d[pending]
-            win = _sample_windows(img_c, pos, offsets)
-            err = tmpl[pending] - win
-            bx = (err * tx[pending]).sum(axis=(1, 2))
-            by = (err * ty[pending]).sum(axis=(1, 2))
-            sub_det = det[pending]
-            dx = (gyy[pending] * bx - gxy[pending] * by) / sub_det
-            dy = (gxx[pending] * by - gxy[pending] * bx) / sub_det
-            d[pending] += np.stack([dx, dy], axis=1)
-            res = np.abs(err).mean(axis=(1, 2))
-            residual[idx[pending]] = res
-            done = np.sqrt(dx * dx + dy * dy) < LK_EPSILON
-            converged[np.nonzero(pending)[0][done]] = True
+            win = _sample_windows(img_c, pos)
+            err = tmpl - win
+            bx = (err * tx).sum(axis=(1, 2))
+            by = (err * ty).sum(axis=(1, 2))
+            dx = (gyy * bx - gxy * by) / det
+            dy = (gxx * by - gxy * bx) / det
+            d[k] += np.stack([dx, dy], axis=1)
+            residual[idx[k]] = np.abs(err).mean(axis=(1, 2))
+            moving = np.sqrt(dx * dx + dy * dy) >= LK_EPSILON
+            if not moving.all():
+                k, tmpl, tx, ty, gxx, gxy, gyy, det = (
+                    a[moving] for a in (k, tmpl, tx, ty, gxx, gxy, gyy, det))
+                if k.size == 0:
+                    break
 
         diverged = np.abs(d - flow[idx] / scale).max(axis=1) > LK_WINDOW
         alive[idx[diverged]] = False
@@ -456,12 +483,11 @@ class MotionEstimate:
     fallback: bool = True
 
 
-def estimate_camera_motion(prev_image: np.ndarray, cur_image: np.ndarray,
+def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
                            seed: int = 0) -> MotionEstimate:
     """Full pipeline: features on the previous frame, one forward LK pass,
-    RANSAC affine fit, scale constraint. Frames may be RGB or grayscale."""
-    prev_gray = downscale(rgb_to_gray(prev_image), MC_DOWNSCALE)
-    cur_gray = downscale(rgb_to_gray(cur_image), MC_DOWNSCALE)
+    RANSAC affine fit, scale constraint. Both frames come from
+    ``motion_gray``; the transform is in full-resolution pixels."""
     points = detect_features(prev_gray)
     if len(points) == 0:
         return MotionEstimate()

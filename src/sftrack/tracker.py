@@ -123,7 +123,9 @@ class Tracker:
         self.tracks: list[Track] = []
         self._next_id = 1
         self._last_frame_index: int | None = None
-        self._prev_image: np.ndarray | None = None
+        # The previous frame's motion_gray image; only motion compensation
+        # reads it, and nothing else of a frame is kept.
+        self._prev_gray: np.ndarray | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -171,8 +173,9 @@ class Tracker:
         live = self.tracks
         for track in live:
             track.kalman_state = kalman.predict(track.kalman_state)
-        if cfg.mc_enabled and self._prev_image is not None and live:
-            estimate = motion.estimate_camera_motion(self._prev_image, image, seed=frame_index)
+        gray = motion.motion_gray(image) if cfg.mc_enabled else None
+        if gray is not None and self._prev_gray is not None and live:
+            estimate = motion.estimate_camera_motion(self._prev_gray, gray, seed=frame_index)
             diag.motion = estimate
             # A collapsed fit cannot be applied to track states; treat the
             # frame as having no usable camera estimate.
@@ -240,8 +243,7 @@ class Tracker:
 
         outputs.sort(key=lambda o: o[0])
         self._last_frame_index = frame_index
-        # Only motion compensation reads the previous frame.
-        self._prev_image = image if cfg.mc_enabled else None
+        self._prev_gray = gray
         return FrameResult(frame_index, outputs, diag)
 
 

@@ -45,12 +45,12 @@ class TestFastCameraPreset:
         # camera transform: translation within 0.5 px, scale within 1%.
         import numpy as np
         from sftrack.io_formats import load_sequence
-        from sftrack.motion import estimate_camera_motion
+        from sftrack.motion import estimate_camera_motion, motion_gray
         gen = presets.generation("fast_camera")
         seq = load_sequence(gen.directory)
-        prev = seq.read_frame(1)
+        prev = motion_gray(seq.read_frame(1))
         for k in range(2, 12):
-            cur = seq.read_frame(k)
+            cur = motion_gray(seq.read_frame(k))
             est = estimate_camera_motion(prev, cur, seed=k)
             true = gen.motions[k - 1]
             assert not est.fallback

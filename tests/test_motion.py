@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sftrack import kalman, synthetic
+from sftrack import kalman, motion, synthetic
 from sftrack.io_formats import load_sequence
-from sftrack.motion import (AffineTransform2D, apply_to_track, constrain_scale,
-                            detect_features, downscale, estimate_affine,
-                            estimate_camera_motion, rgb_to_gray, track_features)
+from sftrack.motion import (LK_WINDOW, MC_DOWNSCALE, AffineTransform2D, apply_to_track,
+                            constrain_scale, detect_features, downscale, estimate_affine,
+                            estimate_camera_motion, motion_gray, rgb_to_gray,
+                            track_features)
 
 
 def textured(shape=(120, 160), seed=0, blur=True):
@@ -26,6 +27,22 @@ class TestGray:
         rgb[0, 0] = (100, 50, 200)
         # 0.299*100 + 0.587*50 + 0.114*200 = 82.05 -> 82
         assert rgb_to_gray(rgb)[0, 0] == 82
+
+    def test_2d_input_rounded_and_clipped(self):
+        gray = rgb_to_gray(np.array([[127.6, 300.0, -2.0, 0.4]]))
+        assert gray.dtype == np.uint8
+        assert gray.tolist() == [[128, 255, 0, 0]]
+
+    def test_2d_uint8_input_kept(self):
+        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        assert rgb_to_gray(img) is img
+
+    def test_motion_gray_is_downscaled_luma(self):
+        rgb = np.random.default_rng(0).integers(0, 256, size=(9, 12, 3)).astype(np.uint8)
+        gray = motion_gray(rgb)
+        assert gray.dtype == np.float64
+        assert gray.shape == (9 // MC_DOWNSCALE, 12 // MC_DOWNSCALE)
+        assert np.array_equal(gray, downscale(rgb_to_gray(rgb), MC_DOWNSCALE))
 
     def test_downscale_box_average(self):
         img = np.arange(16, dtype=np.uint8).reshape(4, 4)
@@ -68,7 +85,71 @@ class TestDetectFeatures:
             detect_features(np.zeros((64, 64, 3)))
 
 
+def sample_windows_per_sample(img, centers):
+    """Reference window sampler: every sample of every 21x21 window is
+    clipped to the image and bilinearly interpolated on its own."""
+    h, w = img.shape
+    radius = LK_WINDOW // 2
+    rng = np.arange(-radius, radius + 1, dtype=float)
+    offsets = np.stack(np.meshgrid(rng, rng, indexing="xy"), axis=-1)
+    px = centers[:, 0][:, None, None] + offsets[None, :, :, 0]
+    py = centers[:, 1][:, None, None] + offsets[None, :, :, 1]
+    px = np.clip(px, 0.0, w - 1.001)
+    py = np.clip(py, 0.0, h - 1.001)
+    x0 = px.astype(int)
+    y0 = py.astype(int)
+    fx = px - x0
+    fy = py - y0
+    top = img[y0, x0] * (1 - fx) + img[y0, x0 + 1] * fx
+    bot = img[y0 + 1, x0] * (1 - fx) + img[y0 + 1, x0 + 1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+class TestSampleWindows:
+    # Window centers _pyramidal_lk passes in: [margin, side - margin).
+    MARGIN = LK_WINDOW // 2 + 1.0
+
+    @pytest.mark.parametrize("shape", [(23, 23), (40, 57), (120, 160)])
+    def test_block_gather_matches_per_sample_reference(self, shape):
+        rng = np.random.default_rng(shape[1])
+        h, w = shape
+        img = rng.uniform(-300.0, 300.0, size=shape)
+        hi_x, hi_y = w - self.MARGIN, h - self.MARGIN
+        lo = self.MARGIN
+        xs = np.concatenate([
+            rng.uniform(lo, hi_x, 300),
+            hi_x - rng.uniform(0.0, 0.001, 50),  # the clipped band at the upper margin
+            [lo, np.nextafter(hi_x, 0.0), lo + 0.5, hi_x - 1e-12],
+        ])
+        ys = np.concatenate([
+            rng.uniform(lo, hi_y, 300),
+            hi_y - rng.uniform(0.0, 0.001, 50),
+            [np.nextafter(hi_y, 0.0), lo, hi_y - 1e-12, lo + 0.5],
+        ])
+        centers = np.column_stack([xs, ys])
+        # Every point also with only one coordinate in the band.
+        centers = np.concatenate([centers, np.column_stack([xs, ys[::-1]])])
+        got = motion._sample_windows(img, centers)
+        want = sample_windows_per_sample(img, centers)
+        assert got.shape == (len(centers), LK_WINDOW, LK_WINDOW)
+        assert np.abs(got - want).max() <= 1e-9
+
+
 class TestTrackFeatures:
+    @pytest.mark.parametrize("side", [LK_WINDOW, LK_WINDOW + 1, LK_WINDOW + 2])
+    def test_image_at_window_size(self, side):
+        # A window with its 1-px margin needs side > 2 * (LK_WINDOW // 2 + 1):
+        # 23 px fits one center column, 22 px and less fit none.
+        img = textured((side, side), seed=side)
+        pts = np.array([[11.0, 11.0], [11.5, 11.25], [side / 2, side / 2]])
+        res = track_features(img, img, pts)
+        assert res.status.shape == (3,) and res.status.dtype == bool
+        if side <= LK_WINDOW + 1:
+            assert not res.status.any()
+        else:
+            assert res.status[:2].all()
+            assert np.abs(res.cur_points - res.prev_points)[:2].max() < 1e-3
+
     def test_identical_frames_zero_flow(self):
         img = textured(seed=3)
         pts = detect_features(img, max_count=50, min_distance=6)
@@ -227,7 +308,7 @@ class TestEndToEnd:
         img = textured((200, 260), seed=11)
         rgb = np.clip(img, 0, 255).astype(np.uint8)[..., None].repeat(3, axis=2)
         shifted = np.roll(rgb, 6, axis=1)  # content moves +6 px in x
-        est = estimate_camera_motion(rgb, shifted, seed=1)
+        est = estimate_camera_motion(motion_gray(rgb), motion_gray(shifted), seed=1)
         assert not est.fallback
         assert est.transform.translation[0] == pytest.approx(6.0, abs=0.25)
         assert abs(est.transform.translation[1]) < 0.25
@@ -249,9 +330,9 @@ class TestSceneAccuracy:
         w, h = spec.width, spec.height
         probes = np.array([[0.0, 0.0], [w, 0.0], [0.0, h], [w, h], [w / 2, h / 2]])
         errors = []
-        prev = sequence.read_frame(1)
+        prev = motion_gray(sequence.read_frame(1))
         for k in range(2, spec.frames + 1):
-            cur = sequence.read_frame(k)
+            cur = motion_gray(sequence.read_frame(k))
             est = estimate_camera_motion(prev, cur, seed=k)
             assert not est.fallback, f"frame {k}: fallback"
             diff = est.transform.apply(probes) - truth[k - 1].apply(probes)

@@ -1,7 +1,10 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sftrack import motion
 from sftrack.config import TrackerConfig
 from sftrack.tracker import Tracker, TrackStatus, run_sequence
 from sftrack.types import BoundingBox, Detection
@@ -240,16 +243,60 @@ class TestDegenerateDetections:
         assert np.array_equal(t.tracks[0].appearance.embedding, e1)
 
 
+def held_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every array reachable from ``obj`` through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, enum.Enum):
+        return []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [a for child in children for a in held_arrays(child, seen)]
+
+
 class TestMemory:
     def test_no_previous_frame_without_motion_compensation(self):
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
-        assert t._prev_image is None
+        assert t._prev_gray is None
 
     def test_previous_frame_kept_for_motion_compensation(self):
         t = Tracker(config(mc_enabled=True))
         t.step(1, FRAME, [])
-        assert t._prev_image is FRAME
+        assert np.array_equal(t._prev_gray, motion.motion_gray(FRAME))
+
+    def test_only_last_gray_frame_kept_after_motion_compensated_pass(self):
+        # A camera panning over a static texture, with tracked targets, so
+        # every frame after the first runs motion estimation.
+        scene = textured_frame(seed=3, h=140, w=200)
+        frames = [scene[10:130, 4 * k:4 * k + 160] for k in range(6)]
+        t = Tracker(config(mc_enabled=True))
+        for k, frame in enumerate(frames, start=1):
+            r = t.step(k, frame, [det(k, 40 - 4 * k, 30), det(k, 100 - 4 * k, 70, score=0.3)])
+            if k > 1:
+                assert r.diagnostics.motion is not None
+        last = frames[-1]
+        gray = motion.motion_gray(last)
+        assert np.array_equal(t._prev_gray, gray)
+        assert t._prev_gray.nbytes <= last.nbytes
+        # No pyramid level or gradient of any frame, and no frame, is held.
+        level_shapes = {last.shape, last.shape[:2]}
+        h, w = gray.shape
+        for _ in range(motion.LK_LEVELS):
+            level_shapes.add((h, w))
+            h, w = (h + 1) // 2, (w + 1) // 2
+        others = [a for a in held_arrays(t) if a is not t._prev_gray]
+        assert others, "the walk reached no track state"
+        assert not [a.shape for a in others if a.shape in level_shapes]
+        assert not [a.shape for a in others if a.size >= gray.size]
 
 
 class TestByteEquivalence:
