@@ -1,8 +1,12 @@
 """Hand-crafted appearance cues and the pluggable embedding provider.
 
 Every cue of a detection comes from one crop, taken once per frame
-(:func:`detection_cues`). Color histograms use HIST_BINS equal-width
-intensity levels per RGB channel (0-31, 32-63, ..., 224-255).
+(:func:`detection_cues`). The embedding is computed eagerly, because the
+first association stage and the rho gate read it; the histogram and the MSE
+patch are computed on first read, so only second-stage candidates pay for
+them.
+Color histograms use HIST_BINS equal-width intensity levels per RGB channel
+(0-31, 32-63, ..., 224-255).
 Histogram similarity is one minus the mean per-channel Hellinger distance.
 Crop similarity is one minus the MSE between both crops resized to a common
 patch (PATCH_SIZE), normalized by 255^2. The similarity functions take
@@ -12,6 +16,7 @@ stacks of cues, so cost matrices evaluate them on all candidate pairs at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,20 +110,37 @@ def extract_crop(frame: np.ndarray, box: BoundingBox) -> np.ndarray | None:
     return frame[y0:y1, x0:x1]
 
 
+def _split_labels(n: int, parts: int) -> np.ndarray:
+    """For each of ``n`` positions, the index of the ``np.array_split`` part
+    it falls in: the first ``n % parts`` parts are one longer."""
+    size, extra = divmod(n, parts)
+    return np.repeat(np.arange(parts), [size + 1] * extra + [size] * (parts - extra))
+
+
 def fallback_embedding(crop: np.ndarray | None) -> np.ndarray | None:
     """Hand-crafted stand-in for a learned descriptor.
 
-    The crop is split into a FALLBACK_GRID spatial grid; each cell contributes
-    a per-channel histogram. The concatenation is L2-normalized.
+    The crop is split into a FALLBACK_GRID spatial grid, as ``np.array_split``
+    splits it; each cell contributes a per-channel histogram normalized by
+    the cell's pixel count (all zeros for an empty cell). The concatenation
+    is L2-normalized. All cells are counted in one ``np.bincount`` over
+    (cell, channel, bin) keys.
     """
     if crop is None or crop.size == 0:
         return None
     rows, cols = FALLBACK_GRID
-    parts = []
-    for r_block in np.array_split(crop, rows, axis=0):
-        for cell in np.array_split(r_block, cols, axis=1):
-            parts.append(color_histogram(cell).ravel())
-    vec = np.concatenate(parts)
+    h, w = crop.shape[:2]
+    row_of, col_of = _split_labels(h, rows), _split_labels(w, cols)
+    cell = row_of[:, None] * cols + col_of[None, :]
+    level = crop.astype(np.int64) // (256 // HIST_BINS)
+    keys = (cell[:, :, None] * 3 + np.arange(3)) * HIST_BINS + level
+    counts = np.bincount(keys.ravel(), minlength=rows * cols * 3 * HIST_BINS)
+    counts = counts.reshape(rows * cols, 3 * HIST_BINS)
+    # A cell's first-channel bins count each of its pixels once.
+    pixels = counts[:, :HIST_BINS].sum(axis=1, keepdims=True)
+    vec = np.zeros(counts.shape)
+    np.divide(counts, pixels, out=vec, where=pixels > 0)
+    vec = vec.ravel()
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         return None
@@ -162,45 +184,65 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
 class Cues:
     """One detection's appearance in one frame, all taken from a single crop.
 
-    ``histogram`` and ``patch`` (float64) are None when the box is empty
-    after clamping to the frame.
+    ``crop`` is a view into the frame, None when the box is empty after
+    clamping to the frame. ``histogram`` and ``patch`` (float64) are
+    computed on first read and then kept; both are None without a crop.
     """
 
-    histogram: np.ndarray | None
-    patch: np.ndarray | None = field(repr=False)
+    crop: np.ndarray | None = field(repr=False)
     embedding: np.ndarray | None = field(repr=False)
+
+    @cached_property
+    def histogram(self) -> np.ndarray | None:
+        return None if self.crop is None else color_histogram(self.crop)
+
+    @cached_property
+    def patch(self) -> np.ndarray | None:
+        return None if self.crop is None else resize_bilinear(self.crop, PATCH_SIZE)
 
 
 def detection_cues(frame: np.ndarray, box: BoundingBox, embedding: np.ndarray | None = None,
                    fallback: bool = False) -> Cues:
-    """Crop once; derive the histogram, the MSE patch and, when ``embedding``
-    is None and ``fallback`` is on, the hand-crafted embedding from it."""
+    """Crop once; when ``embedding`` is None and ``fallback`` is on, derive
+    the hand-crafted embedding from the crop. The histogram and the patch
+    follow from the same crop when read."""
     crop = extract_crop(frame, box)
     if embedding is None and fallback:
         embedding = fallback_embedding(crop)
-    if crop is None:
-        return Cues(None, None, embedding)
-    return Cues(color_histogram(crop), resize_bilinear(crop, PATCH_SIZE), embedding)
+    return Cues(crop, embedding)
 
 
 @dataclass
 class AppearanceMemory:
-    """Per-track copy of the last matched detection's cues.
+    """Per-track appearance: a copy of the last matched detection's crop and
+    the running embedding.
 
-    The patch is stored as float32: it is the bulk of a track's memory, and
-    similarities are computed from it in float64.
+    The copy keeps no frame alive. ``histogram`` and ``patch`` are computed
+    from it on first read and kept until the next update. The patch is
+    float32: it is the bulk of a track's memory, and similarities are
+    computed from it in float64.
     """
 
-    histogram: np.ndarray | None = None
-    patch: np.ndarray | None = field(default=None, repr=False)
+    crop: np.ndarray | None = field(default=None, repr=False)
     embedding: np.ndarray | None = field(default=None, repr=False)
 
     def update(self, cues: Cues) -> None:
-        # A degenerate crop leaves the previous histogram and patch in place.
-        if cues.histogram is not None:
-            self.histogram = cues.histogram
-            self.patch = cues.patch.astype(np.float32)
+        # A degenerate crop leaves the previous crop, histogram and patch in place.
+        if cues.crop is not None:
+            self.crop = cues.crop.copy()
+            self.__dict__.pop("histogram", None)
+            self.__dict__.pop("patch", None)
         self.update_embedding(cues.embedding)
+
+    @cached_property
+    def histogram(self) -> np.ndarray | None:
+        return None if self.crop is None else color_histogram(self.crop)
+
+    @cached_property
+    def patch(self) -> np.ndarray | None:
+        if self.crop is None:
+            return None
+        return resize_bilinear(self.crop, PATCH_SIZE).astype(np.float32)
 
     def update_embedding(self, embedding: np.ndarray | None) -> None:
         if embedding is None:

@@ -116,16 +116,22 @@ def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
     if use_appearance and stage == "first":
         cos = _cosines([m.embedding for m in mem], [c.embedding for c in cues], 1.0)
         sim = sim * cos[ti, dj]
-    elif use_appearance:
-        # A missing crop stacks as an all-zero histogram, which scores 0.
+    elif use_appearance and len(ti):
+        # Histograms and patches are computed on first read, so only the
+        # tracks and detections of candidate pairs are stacked. A missing
+        # crop stacks as an all-zero histogram, which scores 0.
+        rows, ti_u = np.unique(ti, return_inverse=True)
+        cols, dj_u = np.unique(dj, return_inverse=True)
+        mem_rows = [mem[i] for i in rows]
+        cue_cols = [cues[j] for j in cols]
         bins = (3, appearance.HIST_BINS)
         patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
         sim = (sim * appearance.histogram_similarities(
-                   _stack([m.histogram for m in mem], bins)[ti],
-                   _stack([c.histogram for c in cues], bins)[dj])
+                   _stack([m.histogram for m in mem_rows], bins)[ti_u],
+                   _stack([c.histogram for c in cue_cols], bins)[dj_u])
                * appearance.patch_similarities(
-                   _stack([m.patch for m in mem], patch)[ti],
-                   _stack([c.patch for c in cues], patch)[dj]))
+                   _stack([m.patch for m in mem_rows], patch)[ti_u],
+                   _stack([c.patch for c in cue_cols], patch)[dj_u]))
     cost[ti, dj] = 1.0 - sim
     return cost
 

@@ -108,14 +108,22 @@ def rgb_to_gray(image: np.ndarray) -> np.ndarray:
 
 
 def downscale(gray: np.ndarray, factor: int) -> np.ndarray:
-    """Box-average downsampling; trailing rows/cols beyond a multiple of
-    ``factor`` are cropped."""
+    """Box-average downsampling, float64; trailing rows/cols beyond a
+    multiple of ``factor`` are cropped.
+
+    The ``factor**2`` strided slices are summed, then divided by their count.
+    On integer-valued input every partial sum is exact, so the result equals
+    a reshape-and-mean bit for bit.
+    """
     if factor == 1:
         return gray.astype(np.float64)
     h, w = gray.shape
     h2, w2 = h // factor, w // factor
-    cropped = gray[:h2 * factor, :w2 * factor].astype(np.float64)
-    return cropped.reshape(h2, factor, w2, factor).mean(axis=(1, 3))
+    total = np.zeros((h2, w2))
+    for dy in range(factor):
+        for dx in range(factor):
+            total += gray[dy:h2 * factor:factor, dx:w2 * factor:factor]
+    return total / (factor * factor)
 
 
 def motion_gray(image: np.ndarray) -> np.ndarray:

@@ -188,6 +188,44 @@ class TestFallbackEmbedding:
     def test_degenerate(self):
         assert ap.fallback_embedding(None) is None
 
+    @staticmethod
+    def per_cell_reference(crop):
+        """The per-cell loop the single bincount replaced."""
+        if crop is None or crop.size == 0:
+            return None
+        rows, cols = ap.FALLBACK_GRID
+        parts = []
+        for r_block in np.array_split(crop, rows, axis=0):
+            for cell in np.array_split(r_block, cols, axis=1):
+                parts.append(ap.color_histogram(cell).ravel())
+        vec = np.concatenate(parts)
+        norm = np.linalg.norm(vec)
+        return None if norm == 0.0 else vec / norm
+
+    def test_matches_per_cell_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        # Every size from 1x1 to 40x40 in both directions, including
+        # heights below 2 and widths below 4, where some cells are empty.
+        sizes = [(h, w) for h in range(1, 41) for w in (1, 2, 3, 4, 5, 17, 40)]
+        sizes += [(h, w) for h in (1, 2, 3, 9, 40) for w in range(1, 41)]
+        for h, w in sizes:
+            crop = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            got, want = ap.fallback_embedding(crop), self.per_cell_reference(crop)
+            assert got.tobytes() == want.tobytes(), (h, w)
+
+    def test_empty_cells_contribute_zeros(self):
+        # One row: the lower cells are empty; two columns: the last two are.
+        crop = np.full((1, 2, 3), 100, dtype=np.uint8)
+        e = ap.fallback_embedding(crop).reshape(2, 4, 3, ap.HIST_BINS)
+        assert np.all(e[1] == 0.0) and np.all(e[0, 2:] == 0.0)
+        assert np.all(e[0, :2].sum(axis=-1) > 0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (0, 0, 3)])
+    def test_all_zero_result_is_none(self, shape):
+        crop = np.zeros(shape, dtype=np.uint8)
+        assert self.per_cell_reference(crop) is None
+        assert ap.fallback_embedding(crop) is None
+
 
 class TestLoadEmbeddings:
     def test_empty_file(self, tmp_path):
@@ -245,7 +283,44 @@ class TestAppearanceMemory:
         mem.update(cues)
         assert cues.patch.dtype == np.float64
         assert mem.patch.dtype == np.float32
-        assert mem.histogram is cues.histogram
+        assert np.array_equal(mem.histogram, cues.histogram)
+
+
+class TestLazyCues:
+    def test_computed_on_first_read_and_kept(self, monkeypatch):
+        calls = []
+        real = ap.resize_bilinear
+        monkeypatch.setattr(ap, "resize_bilinear",
+                            lambda *args: calls.append(1) or real(*args))
+        cues = ap.detection_cues(solid(10, 20, 30), BoundingBox(0, 0, 8, 8))
+        assert calls == []
+        assert cues.patch is cues.patch
+        assert len(calls) == 1
+
+    def test_no_crop_no_cues(self):
+        cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(20, 20, 4, 4))
+        assert cues.crop is None and cues.histogram is None and cues.patch is None
+
+    def test_memory_keeps_a_copy_of_the_crop(self):
+        frame = solid(10, 20, 30)
+        cues = ap.detection_cues(frame, BoundingBox(0, 0, 4, 4))
+        assert np.shares_memory(cues.crop, frame)
+        mem = ap.AppearanceMemory()
+        mem.update(cues)
+        assert np.array_equal(mem.crop, cues.crop)
+        assert not np.shares_memory(mem.crop, frame)
+
+    def test_update_drops_memoised_cues(self):
+        rng = np.random.default_rng(6)
+        frame = rng.integers(0, 256, size=(20, 20, 3)).astype(np.uint8)
+        mem = ap.AppearanceMemory()
+        first = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
+        mem.update(first)
+        assert np.array_equal(mem.histogram, first.histogram)
+        second = ap.detection_cues(frame, BoundingBox(10, 10, 8, 8))
+        mem.update(second)
+        assert np.array_equal(mem.histogram, second.histogram)
+        assert np.array_equal(mem.patch, second.patch.astype(np.float32))
 
 
 class TestDetectionCues:

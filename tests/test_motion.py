@@ -50,6 +50,19 @@ class TestGray:
         assert small.shape == (2, 2)
         assert small[0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
 
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (9, 13), (31, 17), (45, 61)])
+    def test_downscale_matches_reshape_mean_bit_for_bit(self, factor, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + factor)
+        for img in (rng.integers(0, 256, size=shape).astype(np.uint8),
+                    rng.integers(0, 256, size=shape).astype(np.float64)):
+            h2, w2 = shape[0] // factor, shape[1] // factor
+            cropped = img[:h2 * factor, :w2 * factor].astype(np.float64)
+            ref = cropped.reshape(h2, factor, w2, factor).mean(axis=(1, 3))
+            out = downscale(img, factor)
+            assert out.dtype == np.float64 and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
 
 class TestDetectFeatures:
     def test_uniform_image_empty(self):

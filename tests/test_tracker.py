@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftrack import motion
+from sftrack import appearance, motion
 from sftrack.config import TrackerConfig
 from sftrack.tracker import Tracker, TrackStatus, run_sequence
 from sftrack.types import BoundingBox, Detection
@@ -297,6 +297,64 @@ class TestMemory:
         assert others, "the walk reached no track state"
         assert not [a.shape for a in others if a.shape in level_shapes]
         assert not [a.shape for a in others if a.size >= gray.size]
+
+    def test_no_held_array_shares_memory_with_a_frame(self):
+        # High births, first-stage matches, second-stage matches (which read
+        # histograms and patches) and low births, each on its own frame.
+        frames = [textured_frame(seed=k) for k in range(1, 7)]
+        t = Tracker(config())
+        for k, frame in enumerate(frames, start=1):
+            dets = [det(k, 40 + k, 30), det(k, 100, 70 + k, score=0.3)]
+            if k == 1:
+                dets.append(det(k, 100, 70, score=0.9))
+            r = t.step(k, frame, dets)
+        assert r.diagnostics.n_matched_first and r.diagnostics.n_matched_second
+        held = held_arrays(t)
+        assert any(a.dtype == np.float32 for a in held), "no memory patch was read"
+        assert not [a.shape for a in held for f in frames if np.shares_memory(a, f)]
+
+
+class TestLazyCues:
+    """Histograms and MSE patches are computed only for second-stage pairs
+    that pass the gate."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict[str, int]:
+        calls = {"resize_bilinear": 0, "color_histogram": 0}
+        for name in calls:
+            def wrapper(*args, _name=name, _real=getattr(appearance, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(appearance, name, wrapper)
+        return calls
+
+    def test_all_high_detections_compute_no_cue(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        t = Tracker(config())
+        for k in range(1, 6):
+            t.step(k, FRAME, [det(k, 40 + k, 30), det(k, 100, 70, score=0.95)])
+        assert len(t.tracks) == 2
+        assert calls == {"resize_bilinear": 0, "color_histogram": 0}
+
+    def test_iou_only_second_stage_computes_no_cue(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        t = Tracker(config(traditional_second_assoc=False))
+        t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
+        r = t.step(2, FRAME, [det(2, 51, 40, score=0.4)])
+        assert r.diagnostics.n_matched_second == 1
+        assert calls == {"resize_bilinear": 0, "color_histogram": 0}
+
+    def test_gated_pair_computes_each_side_once_per_frame(self, monkeypatch):
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40), det(1, 10, 80)])
+        calls = self.counted(monkeypatch)
+        for k, far in zip(range(2, 5), [(120, 5), (5, 5), (120, 95)]):
+            # One low detection next to the first track, one far from every
+            # track (it starts a track of its own).
+            r = t.step(k, FRAME, [det(k, 50 + k, 40, score=0.4), det(k, *far, score=0.4)])
+            assert r.diagnostics.n_matched_second == 1
+            assert calls == {"resize_bilinear": 2, "color_histogram": 2}
+            calls.update(resize_bilinear=0, color_histogram=0)
 
 
 class TestByteEquivalence:
