@@ -218,7 +218,8 @@ class AppearanceMemory:
     the running embedding.
 
     The copy keeps no frame alive. ``histogram`` and ``patch`` are computed
-    from it on first read and kept until the next update. The patch is
+    from it on first read and kept until the next update; the histogram a
+    second-stage match already computed is taken over instead. The patch is
     float32: it is the bulk of a track's memory, and similarities are
     computed from it in float64.
     """
@@ -227,11 +228,16 @@ class AppearanceMemory:
     embedding: np.ndarray | None = field(default=None, repr=False)
 
     def update(self, cues: Cues) -> None:
-        # A degenerate crop leaves the previous crop, histogram and patch in place.
+        # A degenerate crop leaves the previous crop, histogram and patch in
+        # place. The detection's patch is not taken over: at 12 KiB it is
+        # about 20x a typical crop, and most tracks would hold it through
+        # frames in which nothing reads it.
         if cues.crop is not None:
             self.crop = cues.crop.copy()
             self.__dict__.pop("histogram", None)
             self.__dict__.pop("patch", None)
+            if "histogram" in cues.__dict__:
+                self.__dict__["histogram"] = cues.histogram
         self.update_embedding(cues.embedding)
 
     @cached_property

@@ -450,7 +450,8 @@ def constrain_scale(m: AffineTransform2D) -> AffineTransform2D:
 
 
 def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
-    """Map a track state through a scale-constrained camera transform.
+    """Map track states, (..., 8) means with (..., 8, 8) covariances, through
+    a scale-constrained camera transform.
 
     Center and velocity rotate/scale with the linear part, height scales by
     the uniform factor, and the aspect ratio is copied through untouched.
@@ -469,12 +470,14 @@ def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
     t8[6, 6] = 1.0
     t8[7, 7] = s
 
-    mean = t8 @ state.mean
-    mean[0:2] += m.translation
-    mean[2] = state.mean[2]  # aspect ratio passes through bit-identical
-    mean[6] = state.mean[6]
+    # One matrix-vector product per state, as for a single state.
+    mean = (t8 @ state.mean[..., None])[..., 0]
+    mean[..., 0:2] += m.translation
+    # The aspect ratio and its velocity pass through bit-identical.
+    mean[..., 2] = state.mean[..., 2]
+    mean[..., 6] = state.mean[..., 6]
     cov = t8 @ state.covariance @ t8.T
-    return KalmanState(mean, (cov + cov.T) * 0.5)
+    return KalmanState(mean, (cov + np.swapaxes(cov, -1, -2)) * 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ One frame step runs, in order:
    appearance cues from a single crop, and split them at the confidence
    threshold (strictly greater goes high);
 2. Kalman-predict every live track, then apply the scale-constrained camera
-   transform when motion compensation is on;
+   transform when motion compensation is on, each as one call over the
+   stacked state of all live tracks;
 3. first association of all live tracks against high detections
    (IoU x embedding cosine, Hungarian);
 4. second association of the remainder against low detections (IoU x color
-   histogram x scaled MSE, or plain IoU when traditional matching is off);
+   histogram x scaled MSE, or plain IoU when traditional matching is off),
+   then one Kalman update of every track matched in either stage;
 5. unmatched tracks turn Lost and are removed after the grace period;
 6. every unmatched high detection starts a new track;
 7. with low initiation on, an unmatched low detection starts a track when
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import appearance, association, kalman, motion
 from .config import TrackerConfig
-from .types import BoundingBox, Detection, from_cxcyah, to_cxcyah
+from .types import BoundingBox, Detection, to_cxcyah
 
 log = logging.getLogger(__name__)
 
@@ -46,26 +48,21 @@ class TrackStatus(enum.Enum):
 
 
 class Track:
-    """An identity-preserving trajectory owned by a single tracker."""
+    """An identity-preserving trajectory owned by a single tracker. Its
+    Kalman state is a row of the tracker's stacked state."""
 
     def __init__(self, track_id: int, detection: Detection, cues: appearance.Cues):
         self.track_id = track_id
         self.class_id = detection.class_id
         self.status = TrackStatus.ACTIVE
-        self.kalman_state = kalman.initiate(to_cxcyah(detection.box))
+        # The box of the tracker's predicted state while a step associates;
+        # None between steps.
+        self.predicted_box: BoundingBox | None = None
         self.miss_count = 0
         self.appearance = appearance.AppearanceMemory()
         self.appearance.update(cues)
 
-    @property
-    def predicted_box(self) -> BoundingBox:
-        cx, cy, a, h = kalman.state_box_cxcyah(self.kalman_state)
-        if h <= 0 or a <= 0:
-            return BoundingBox(cx, cy, 0.0, 0.0)
-        return from_cxcyah(cx, cy, a, h)
-
-    def mark_matched(self, detection: Detection, cues: appearance.Cues) -> None:
-        self.kalman_state = kalman.update(self.kalman_state, to_cxcyah(detection.box))
+    def mark_matched(self, cues: appearance.Cues) -> None:
         self.status = TrackStatus.ACTIVE
         self.miss_count = 0
         self.appearance.update(cues)
@@ -78,6 +75,17 @@ class Track:
             return True
         self.status = TrackStatus.LOST
         return False
+
+
+def predicted_boxes(mean: np.ndarray) -> list[BoundingBox]:
+    """The box of each (N, 8) state mean; a state with non-positive aspect
+    ratio or height gives a zero-size box at its center."""
+    cx, cy, a, h = mean[:, :4].T
+    valid = (h > 0) & (a > 0)
+    width = np.where(valid, a * h, 0.0)
+    height = np.where(valid, h, 0.0)
+    rows = np.stack([cx - width / 2.0, cy - height / 2.0, width, height], axis=1)
+    return [BoundingBox(*row) for row in rows.tolist()]
 
 
 @dataclass
@@ -121,19 +129,13 @@ class Tracker:
         self.embeddings = embeddings
         self.handcrafted_fallback = handcrafted_fallback
         self.tracks: list[Track] = []
+        # Row i is the Kalman state of self.tracks[i].
+        self.kalman_state = kalman.initiate(np.empty((0, 4)))
         self._next_id = 1
         self._last_frame_index: int | None = None
         # The previous frame's motion_gray image; only motion compensation
         # reads it, and nothing else of a frame is kept.
         self._prev_gray: np.ndarray | None = None
-
-    # -- helpers ------------------------------------------------------------
-
-    def _start_track(self, det: Detection, cues: appearance.Cues) -> Track:
-        track = Track(self._next_id, det, cues)
-        self._next_id += 1
-        self.tracks.append(track)
-        return track
 
     # -- main step ----------------------------------------------------------
 
@@ -168,11 +170,11 @@ class Tracker:
                         frame_index, diag.n_degenerate)
         diag.n_high, diag.n_low = len(d_high), len(d_low)
 
-        # Predict, then compensate camera motion. Removed tracks have left
-        # self.tracks, so every track in it is live.
+        # Predict, then compensate camera motion, over the stacked state of
+        # every track. Removed tracks have left self.tracks, so every track
+        # in it is live.
         live = self.tracks
-        for track in live:
-            track.kalman_state = kalman.predict(track.kalman_state)
+        state = kalman.predict(self.kalman_state)
         gray = motion.motion_gray(image) if cfg.mc_enabled else None
         if gray is not None and self._prev_gray is not None and live:
             estimate = motion.estimate_camera_motion(self._prev_gray, gray, seed=frame_index)
@@ -181,13 +183,12 @@ class Tracker:
             # frame as having no usable camera estimate.
             degenerate = abs(float(np.linalg.det(estimate.transform.linear))) < 1e-6
             if not degenerate and not estimate.transform.is_identity():
-                for track in live:
-                    before = float(track.kalman_state.mean[2])
-                    track.kalman_state = motion.apply_to_track(
-                        estimate.transform, track.kalman_state)
-                    diag.aspect_pairs.append((before, float(track.kalman_state.mean[2])))
-        for track in live:
-            diag.predicted_boxes[track.track_id] = track.predicted_box
+                before = state.mean[:, 2].tolist()
+                state = motion.apply_to_track(estimate.transform, state)
+                diag.aspect_pairs = list(zip(before, state.mean[:, 2].tolist()))
+        for track, box in zip(live, predicted_boxes(state.mean)):
+            track.predicted_box = box
+            diag.predicted_boxes[track.track_id] = box
 
         # First association: all live tracks vs high-confidence detections.
         cost = association.build_stage_matrix(live, d_high, "first", c_high,
@@ -197,51 +198,73 @@ class Tracker:
             and any(c.embedding is not None for c in c_high))
         first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
         outputs: list[tuple[int, int, BoundingBox, float]] = []
+        # Rows of `state` matched in either stage, and their measurements.
+        matched_rows: list[int] = []
+        measurements: list[tuple[float, float, float, float]] = []
         for ti, dj in first.matches:
             track, det = live[ti], d_high[dj]
-            track.mark_matched(det, c_high[dj])
+            track.mark_matched(c_high[dj])
+            matched_rows.append(ti)
+            measurements.append(to_cxcyah(det.box))
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_first = len(first.matches)
 
-        # Second association: leftovers vs low-confidence detections.
-        remaining = [live[i] for i in first.unmatched_rows]
+        # Second association: leftovers vs low-confidence detections. It
+        # reads no Kalman state, so one update after it covers both stages.
+        remaining = first.unmatched_rows
         cost2 = association.build_stage_matrix(
-            remaining, d_low, "second", c_low, use_appearance=cfg.traditional_second_assoc)
+            [live[i] for i in remaining], d_low, "second", c_low,
+            use_appearance=cfg.traditional_second_assoc)
         second = association.hungarian(cost2, association.MIN_FUSED_SIM_SECOND)
         for ti, dj in second.matches:
-            track, det = remaining[ti], d_low[dj]
-            track.mark_matched(det, c_low[dj])
+            track, det = live[remaining[ti]], d_low[dj]
+            track.mark_matched(c_low[dj])
+            matched_rows.append(remaining[ti])
+            measurements.append(to_cxcyah(det.box))
             outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_second = len(second.matches)
+        # Nothing reads a predicted box after association; keep none.
+        for track in live:
+            track.predicted_box = None
+        state[matched_rows] = kalman.update(state[matched_rows],
+                                            np.reshape(measurements, (-1, 4)))
 
-        # Lifecycle for unmatched tracks; removed ones leave the tracker.
+        # Lifecycle for unmatched tracks; removed ones leave the tracker,
+        # with their rows of the state.
         for i in second.unmatched_rows:
-            if remaining[i].mark_missed(cfg.grace_frames):
+            if live[remaining[i]].mark_missed(cfg.grace_frames):
                 diag.n_removed += 1
+        kept = [t.status != TrackStatus.REMOVED for t in live]
+        tracks = [t for t, keep in zip(live, kept) if keep]
         if diag.n_removed:
-            self.tracks = [t for t in live if t.status != TrackStatus.REMOVED]
+            state = state[np.array(kept)]
 
-        # New tracks from unmatched high detections.
-        for dj in first.unmatched_cols:
-            det = d_high[dj]
-            track = self._start_track(det, c_high[dj])
-            outputs.append((track.track_id, track.class_id, det.box, det.score))
-            diag.n_new_high += 1
-
-        # New tracks from unmatched low detections, gated on appearance
-        # similarity against this frame's same-class high detections.
+        # New tracks from unmatched high detections, then from unmatched low
+        # detections gated on appearance similarity against this frame's
+        # same-class high detections.
+        born = [(d_high[dj], c_high[dj]) for dj in first.unmatched_cols]
+        diag.n_new_high = len(born)
         if cfg.low_init_enabled:
             candidates = second.unmatched_cols
             allowed = association.low_init_allowed(
                 [d_low[dj] for dj in candidates], [c_low[dj] for dj in candidates],
                 d_high, c_high, cfg.rho)
-            for dj in (dj for dj, ok in zip(candidates, allowed) if ok):
-                det = d_low[dj]
-                track = self._start_track(det, c_low[dj])
-                outputs.append((track.track_id, track.class_id, det.box, det.score))
-                diag.n_new_low += 1
+            born += [(d_low[dj], c_low[dj]) for dj, ok in zip(candidates, allowed) if ok]
+            diag.n_new_low = len(born) - diag.n_new_high
+        if born:
+            new = kalman.initiate([to_cxcyah(det.box) for det, _ in born])
+            state = kalman.KalmanState(np.concatenate([state.mean, new.mean]),
+                                       np.concatenate([state.covariance, new.covariance]))
+        for det, cues in born:
+            track = Track(self._next_id, det, cues)
+            self._next_id += 1
+            tracks.append(track)
+            outputs.append((track.track_id, track.class_id, det.box, det.score))
 
         outputs.sort(key=lambda o: o[0])
+        # The track list and its stacked state change together, so a frame
+        # that raises leaves them aligned.
+        self.tracks, self.kalman_state = tracks, state
         self._last_frame_index = frame_index
         self._prev_gray = gray
         return FrameResult(frame_index, outputs, diag)

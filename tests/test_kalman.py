@@ -96,3 +96,70 @@ class TestNumericalHealth:
             s = kalman.predict(s)
             s = kalman.update(s, (10 + k, 10, 0.8, 15))
             assert s.mean[2] > 0 and s.mean[3] > 0
+
+
+def single_states(n: int, seed: int = 0) -> list[kalman.KalmanState]:
+    """``n`` states after a few random single-state cycles, with random
+    velocities; the second one has a negative height, whose noise is taken
+    from its absolute value."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        s = kalman.initiate((rng.uniform(0, 600), rng.uniform(0, 400),
+                             rng.uniform(0.3, 2.0), rng.uniform(5, 40)))
+        for _ in range(rng.integers(0, 4)):
+            s = kalman.predict(s)
+            s = kalman.update(s, s.mean[:4] + rng.normal(size=4) * [2.0, 2.0, 0.01, 0.5])
+        s.mean[4:] = rng.normal(size=4) * [3.0, 3.0, 0.001, 0.2]
+        out.append(s)
+    if n > 1:
+        out[1].mean[3] = -out[1].mean[3]
+    return out
+
+
+def stacked(states: list[kalman.KalmanState]) -> kalman.KalmanState:
+    return kalman.KalmanState(np.reshape([s.mean for s in states], (-1, 8)),
+                              np.reshape([s.covariance for s in states], (-1, 8, 8)))
+
+
+def assert_stack_equals(stack: kalman.KalmanState, states: list[kalman.KalmanState]) -> None:
+    expected = stacked(states)
+    assert np.array_equal(stack.mean, expected.mean)
+    assert np.array_equal(stack.covariance, expected.covariance)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+class TestStackedEqualsSingle:
+    """A call on N stacked states equals N single-state calls bit for bit."""
+
+    def test_initiate(self, n):
+        rng = np.random.default_rng(n)
+        z = np.column_stack([rng.uniform(0, 600, n), rng.uniform(0, 400, n),
+                             rng.uniform(0.3, 2.0, n), rng.uniform(5, 40, n)])
+        assert_stack_equals(kalman.initiate(z), [kalman.initiate(row) for row in z])
+
+    def test_predict(self, n):
+        states = single_states(n)
+        assert_stack_equals(kalman.predict(stacked(states)), [kalman.predict(s) for s in states])
+
+    def test_update(self, n):
+        states = single_states(n)
+        z = np.array([s.mean[:4] for s in states]).reshape(-1, 4) + 1.5
+        z[:, 3] = np.abs(z[:, 3])
+        assert_stack_equals(kalman.update(stacked(states), z),
+                            [kalman.update(s, row) for s, row in zip(states, z)])
+
+
+class TestStackedErrors:
+    def test_one_singular_innovation_covariance_raises(self):
+        from sftrack.errors import NumericalError
+        states = single_states(3)
+        states[1] = kalman.KalmanState(np.zeros(8), np.zeros((8, 8)))
+        z = np.tile([0.0, 0.0, 1.0, 10.0], (3, 1))
+        with pytest.raises(NumericalError):
+            kalman.update(stacked(states), z)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (3, 1, 4), (3, 8)])
+    def test_measurement_stack_shape_must_match(self, shape):
+        with pytest.raises(ValueError):
+            kalman.update(stacked(single_states(3)), np.ones(shape))

@@ -315,6 +315,27 @@ class TestApplyToTrack:
             out = apply_to_track(m, s)
             assert out.mean[2] == s.mean[2]
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_stack_equals_single_states_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        states = []
+        for k in range(n):
+            s = kalman.predict(self.state(*rng.uniform([0, 0, 0.3, 5], [600, 400, 2, 40])))
+            s.mean[4:] = rng.normal(size=4)
+            if k == 1:
+                s.mean[3] = -s.mean[3]
+            states.append(s)
+        stack = kalman.KalmanState(np.reshape([s.mean for s in states], (-1, 8)),
+                                   np.reshape([s.covariance for s in states], (-1, 8, 8)))
+        m = constrain_scale(AffineTransform2D(
+            np.eye(2) + rng.normal(scale=0.1, size=(2, 2)), rng.normal(size=2)))
+        out = apply_to_track(m, stack)
+        singles = [apply_to_track(m, s) for s in states]
+        assert np.array_equal(out.mean, np.reshape([s.mean for s in singles], (-1, 8)))
+        assert np.array_equal(out.covariance,
+                              np.reshape([s.covariance for s in singles], (-1, 8, 8)))
+        assert np.array_equal(out.mean[:, [2, 6]], stack.mean[:, [2, 6]])
+
 
 class TestEndToEnd:
     def test_shifted_texture_camera_estimate(self):

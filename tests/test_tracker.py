@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftrack import appearance, motion
+from sftrack import appearance, kalman, motion
 from sftrack.config import TrackerConfig
 from sftrack.tracker import Tracker, TrackStatus, run_sequence
-from sftrack.types import BoundingBox, Detection
+from sftrack.types import BoundingBox, Detection, from_cxcyah, to_cxcyah
 
 
 def textured_frame(seed=0, h=120, w=160):
@@ -345,16 +345,89 @@ class TestLazyCues:
         assert calls == {"resize_bilinear": 0, "color_histogram": 0}
 
     def test_gated_pair_computes_each_side_once_per_frame(self, monkeypatch):
+        spots = [(10, 10), (120, 10), (10, 90)]
         t = Tracker(config())
-        t.step(1, FRAME, [det(1, 50, 40), det(1, 10, 80)])
+        t.step(1, FRAME, [det(1, x, y) for x, y in spots])
         calls = self.counted(monkeypatch)
-        for k, far in zip(range(2, 5), [(120, 5), (5, 5), (120, 95)]):
-            # One low detection next to the first track, one far from every
-            # track (it starts a track of its own).
-            r = t.step(k, FRAME, [det(k, 50 + k, 40, score=0.4), det(k, *far, score=0.4)])
+        for k, ((x, y), far) in enumerate(zip(spots, [(120, 95), (65, 50), (65, 95)]), start=2):
+            # One low detection next to a track whose cues were never read,
+            # one far from every track (it starts a track of its own).
+            r = t.step(k, FRAME, [det(k, x + 1, y, score=0.4), det(k, *far, score=0.4)])
             assert r.diagnostics.n_matched_second == 1
             assert calls == {"resize_bilinear": 2, "color_histogram": 2}
             calls.update(resize_bilinear=0, color_histogram=0)
+
+    def test_second_stage_match_hands_its_histogram_to_the_track(self, monkeypatch):
+        # The histogram a second-stage match computed becomes the track's, so
+        # reading the track on the next frame computes no histogram for it.
+        # Its patch is computed again from the crop copy.
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40)])
+        calls = self.counted(monkeypatch)
+        for k in (2, 3, 4):
+            r = t.step(k, FRAME, [det(k, 50 + k, 40, score=0.4)])
+            assert r.diagnostics.n_matched_second == 1
+            assert calls == {"resize_bilinear": 2, "color_histogram": 2 if k == 2 else 1}
+            calls.update(resize_bilinear=0, color_histogram=0)
+        memory = t.tracks[0].appearance
+        crop = FRAME[40:60, 54:74]
+        assert np.array_equal(memory.crop, crop)
+        monkeypatch.undo()
+        assert np.array_equal(memory.histogram, appearance.color_histogram(crop))
+        assert np.array_equal(memory.patch, appearance.resize_bilinear(
+            crop, appearance.PATCH_SIZE).astype(np.float32))
+
+
+def box_of(state: kalman.KalmanState) -> BoundingBox:
+    """One state's predicted box; zero-size at the center when the aspect
+    ratio or the height is not positive."""
+    cx, cy, a, h = (float(v) for v in state.mean[:4])
+    if h <= 0 or a <= 0:
+        return BoundingBox(cx, cy, 0.0, 0.0)
+    return from_cxcyah(cx, cy, a, h)
+
+
+class TestStackedKalmanBookkeeping:
+    # grace_frames=2. Frame 1 births A, B, C, D; 2: A and D first stage, C
+    # second stage, B lost; 3: A and B (B back within the grace period); 4:
+    # C and D removed at the tail while E is born; 5: F born, B lost; 6: B
+    # removed from the middle while G is born, E matched in the second stage.
+    STREAM = [
+        (1, [det(1, 20, 20), det(1, 60, 20), det(1, 100, 20), det(1, 20, 70)]),
+        (2, [det(2, 23, 20), det(2, 101, 21, score=0.4), det(2, 21, 72)]),
+        (3, [det(3, 26, 21), det(3, 61, 20)]),
+        (4, [det(4, 29, 21), det(4, 62, 20), det(4, 120, 80)]),
+        (5, [det(5, 32, 22), det(5, 122, 81), det(5, 60, 80)]),
+        (6, [det(6, 35, 22), det(6, 123, 82, score=0.4), det(6, 62, 81), det(6, 90, 50)]),
+        (7, [det(7, 38, 23), det(7, 125, 82), det(7, 64, 82), det(7, 91, 52)]),
+    ]
+
+    def test_predicted_boxes_equal_single_state_replay(self):
+        """Each track's matched boxes, replayed through single-state
+        initiate/predict/update, give the tracker's predicted boxes bit for
+        bit on every frame."""
+        t = Tracker(config(grace_frames=2))
+        ref: dict[int, kalman.KalmanState] = {}
+        misses: dict[int, int] = {}
+        events = []
+        for k, dets in self.STREAM:
+            r = t.step(k, FRAME, dets)
+            d = r.diagnostics
+            events.append((d.n_matched_first, d.n_matched_second, d.n_new_high, d.n_removed))
+            ref = {tid: kalman.predict(s) for tid, s in ref.items()}
+            assert d.predicted_boxes == {tid: box_of(s) for tid, s in ref.items()}, f"frame {k}"
+            matched = {tid: box for tid, _cls, box, _score in r.outputs}
+            for tid, box in matched.items():
+                z = to_cxcyah(box)
+                ref[tid] = kalman.update(ref[tid], z) if tid in ref else kalman.initiate(z)
+                misses[tid] = 0
+            for tid in set(ref) - set(matched):
+                misses[tid] += 1
+                if misses[tid] == 2:
+                    del ref[tid]
+            assert [tr.track_id for tr in t.tracks] == sorted(ref)
+        assert events == [(0, 0, 4, 0), (2, 1, 0, 0), (2, 0, 0, 0), (2, 0, 1, 2),
+                          (2, 0, 1, 0), (2, 1, 1, 1), (4, 0, 0, 0)]
 
 
 class TestByteEquivalence:
