@@ -16,7 +16,7 @@ stacks of cues, so cost matrices evaluate them on all candidate pairs at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +34,32 @@ EMBEDDING_MOMENTUM = 0.9
 # 3-channel histograms, L2-normalized. 2*4 cells * 24 bins = 192 dims.
 FALLBACK_GRID = (2, 4)
 
+# Distinct crop shapes whose resize taps and descriptor layouts are kept,
+# least recently used first out. A taps entry is about 4 KiB for PATCH_SIZE;
+# a layout entry is one byte per crop value. A crowd of 6-16 px targets
+# shows about 100 resize and 200 descriptor shapes.
+SHAPE_CACHE_SIZE = 512
+
+_LEVEL = 256 // HIST_BINS
+# Key offset of each RGB channel in a (channel, bin) bincount.
+_CHANNEL_BASE = np.arange(3) * HIST_BINS
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached taps are shared by every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
 
 def color_histogram(crop: np.ndarray | None) -> np.ndarray:
     """Per-channel normalized frequencies, shape (3, HIST_BINS); all zeros
     (degenerate) for an empty crop."""
-    out = np.zeros((3, HIST_BINS))
     if crop is None or crop.size == 0:
-        return out
-    idx = crop.reshape(-1, 3).astype(np.int64) // (256 // HIST_BINS)
-    for c in range(3):
-        out[c] = np.bincount(idx[:, c], minlength=HIST_BINS) / idx.shape[0]
-    return out
+        return np.zeros((3, HIST_BINS))
+    keys = crop // _LEVEL + _CHANNEL_BASE
+    counts = np.bincount(keys.ravel(), minlength=3 * HIST_BINS)
+    return counts.reshape(3, HIST_BINS) / (crop.size // 3)
 
 
 def histogram_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,26 +70,48 @@ def histogram_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - dist.mean(axis=-1)
 
 
+def _taps(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear taps along one axis: the lower and upper source index of
+    each of ``n_dst`` half-pixel-centred samples and the upper one's weight."""
+    pos = (np.arange(n_dst) + 0.5) * (n_src / n_dst) - 0.5
+    lo = np.clip(np.floor(pos).astype(int), 0, n_src - 1)
+    hi = np.minimum(lo + 1, n_src - 1)
+    return lo, hi, np.clip(pos - lo, 0.0, 1.0)
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _resize_taps(sh: int, sw: int, tw: int, th: int) -> tuple[np.ndarray, ...]:
+    """Taps of an (sh, sw, 3) -> (th, tw, 3) resize. Columns index the
+    channel-flattened (sh, sw * 3) source and their weights repeat per
+    channel; rows come with (th, 1) weights."""
+    x0, x1, fx = _taps(sw, tw)
+    y0, y1, fy = _taps(sh, th)
+    channel = np.arange(3)
+    c0 = (x0[:, None] * 3 + channel).ravel()
+    c1 = (x1[:, None] * 3 + channel).ravel()
+    fx = np.repeat(fx, 3)
+    fy = fy[:, None]
+    return _frozen(c0, c1, 1 - fx, fx, y0, y1, 1 - fy, fy)
+
+
 def resize_bilinear(crop: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """Resize (h, w, 3) uint8 to (size[1], size[0], 3) float64.
 
     Sample positions use the half-pixel-center convention so that resizing
-    to the same size is the identity.
+    to the same size is the identity. One horizontal pass over the source
+    rows, then one vertical pass: each output value is
+    ``(s00 * (1 - fx) + s01 * fx) * (1 - fy) + (s10 * (1 - fx) + s11 * fx) * fy``
+    in float64, with taps computed once per crop shape.
     """
     tw, th = size
     sh, sw = crop.shape[:2]
-    src = crop.astype(np.float64)
-    xs = (np.arange(tw) + 0.5) * (sw / tw) - 0.5
-    ys = (np.arange(th) + 0.5) * (sh / th) - 0.5
-    x0 = np.clip(np.floor(xs).astype(int), 0, sw - 1)
-    y0 = np.clip(np.floor(ys).astype(int), 0, sh - 1)
-    x1 = np.minimum(x0 + 1, sw - 1)
-    y1 = np.minimum(y0 + 1, sh - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    return top * (1 - fy) + bot * fy
+    c0, c1, gx, fx, y0, y1, gy, fy = _resize_taps(sh, sw, tw, th)
+    src = crop.reshape(sh, sw * 3).astype(np.float64)
+    rows = src[:, c0] * gx
+    rows += src[:, c1] * fx
+    out = rows[y0] * gy
+    out += rows[y1] * fy
+    return out.reshape(th, tw, 3)
 
 
 def patch_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,6 +154,20 @@ def _split_labels(n: int, parts: int) -> np.ndarray:
     return np.repeat(np.arange(parts), [size + 1] * extra + [size] * (parts - extra))
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _fallback_layout(h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Descriptor layout of an (h, w, 3) crop: the (cell * 3 + channel) *
+    HIST_BINS key base of every value, each cell's pixel count (n_cells, 1)
+    and which cells have pixels."""
+    rows, cols = FALLBACK_GRID
+    row_of, col_of = _split_labels(h, rows), _split_labels(w, cols)
+    cell = row_of[:, None] * cols + col_of[None, :]
+    # The largest key, rows * cols * 3 * HIST_BINS - 1, fits in a uint8.
+    base = ((cell[:, :, None] * 3 + np.arange(3)) * HIST_BINS).astype(np.uint8)
+    pixels = np.bincount(cell.ravel(), minlength=rows * cols)[:, None]
+    return _frozen(base, pixels, pixels > 0)
+
+
 def fallback_embedding(crop: np.ndarray | None) -> np.ndarray | None:
     """Hand-crafted stand-in for a learned descriptor.
 
@@ -124,22 +175,17 @@ def fallback_embedding(crop: np.ndarray | None) -> np.ndarray | None:
     splits it; each cell contributes a per-channel histogram normalized by
     the cell's pixel count (all zeros for an empty cell). The concatenation
     is L2-normalized. All cells are counted in one ``np.bincount`` over
-    (cell, channel, bin) keys.
+    (cell, channel, bin) keys laid out once per crop shape.
     """
     if crop is None or crop.size == 0:
         return None
     rows, cols = FALLBACK_GRID
-    h, w = crop.shape[:2]
-    row_of, col_of = _split_labels(h, rows), _split_labels(w, cols)
-    cell = row_of[:, None] * cols + col_of[None, :]
-    level = crop.astype(np.int64) // (256 // HIST_BINS)
-    keys = (cell[:, :, None] * 3 + np.arange(3)) * HIST_BINS + level
-    counts = np.bincount(keys.ravel(), minlength=rows * cols * 3 * HIST_BINS)
+    base, pixels, filled = _fallback_layout(*crop.shape[:2])
+    counts = np.bincount((base + crop // _LEVEL).ravel(),
+                         minlength=rows * cols * 3 * HIST_BINS)
     counts = counts.reshape(rows * cols, 3 * HIST_BINS)
-    # A cell's first-channel bins count each of its pixels once.
-    pixels = counts[:, :HIST_BINS].sum(axis=1, keepdims=True)
     vec = np.zeros(counts.shape)
-    np.divide(counts, pixels, out=vec, where=pixels > 0)
+    np.divide(counts, pixels, out=vec, where=filled)
     vec = vec.ravel()
     norm = np.linalg.norm(vec)
     if norm == 0.0:

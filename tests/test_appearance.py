@@ -46,6 +46,25 @@ class TestColorHistogram:
         h = ap.color_histogram(crop)
         assert np.allclose(h.sum(axis=1), 1.0, atol=1e-9)
 
+    @staticmethod
+    def per_channel_reference(crop):
+        """One bincount per channel, as before the single keyed bincount."""
+        out = np.zeros((3, ap.HIST_BINS))
+        idx = crop.reshape(-1, 3).astype(np.int64) // (256 // ap.HIST_BINS)
+        for c in range(3):
+            out[c] = np.bincount(idx[:, c], minlength=ap.HIST_BINS) / idx.shape[0]
+        return out
+
+    def test_matches_per_channel_reference_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        frame = rng.integers(0, 256, size=(50, 50, 3)).astype(np.uint8)
+        for h in range(1, 41):
+            for w in range(1, 41):
+                crop = frame[5:5 + h, 7:7 + w]
+                want = self.per_channel_reference(crop)
+                for _ in range(2):
+                    assert ap.color_histogram(crop).tobytes() == want.tobytes(), (h, w)
+
 
 def hist_sim(h1, h2):
     return float(ap.histogram_similarities(h1[None], h2[None])[0])
@@ -87,6 +106,64 @@ class TestHistSimilarity:
     def test_degenerate_is_zero(self):
         h = ap.color_histogram(solid(10, 10, 10))
         assert hist_sim(h, ap.color_histogram(None)) == 0.0
+
+
+def four_corner_reference(crop, size):
+    """The four-corner gather the per-shape taps replaced."""
+    tw, th = size
+    sh, sw = crop.shape[:2]
+    src = crop.astype(np.float64)
+    xs = (np.arange(tw) + 0.5) * (sw / tw) - 0.5
+    ys = (np.arange(th) + 0.5) * (sh / th) - 0.5
+    x0 = np.clip(np.floor(xs).astype(int), 0, sw - 1)
+    y0 = np.clip(np.floor(ys).astype(int), 0, sh - 1)
+    x1 = np.minimum(x0 + 1, sw - 1)
+    y1 = np.minimum(y0 + 1, sh - 1)
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+class TestResizeBilinear:
+    def test_matches_four_corner_reference_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        frame = rng.integers(0, 256, size=(60, 60, 3)).astype(np.uint8)
+        for h in range(1, 41):
+            for w in range(1, 41):
+                # A view into a larger frame, as extract_crop returns it.
+                crop = frame[3:3 + h, 11:11 + w]
+                for size in [(32, 32), (17, 9), (1, 1), (64, 48)]:
+                    want = four_corner_reference(crop, size)
+                    # The second call reads the shape's cached taps.
+                    for _ in range(2):
+                        got = ap.resize_bilinear(crop, size)
+                        assert got.dtype == np.float64 and got.shape == want.shape
+                        assert np.array_equal(got, want), (h, w, size)
+                        assert got.tobytes() == want.tobytes(), (h, w, size)
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
+    def test_same_size_is_identity(self, h, w, seed):
+        crop = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+        assert np.array_equal(ap.resize_bilinear(crop, (w, h)), crop)
+
+
+class TestShapeCaches:
+    def test_cached_arrays_are_read_only(self):
+        crop = np.zeros((7, 5, 3), dtype=np.uint8)
+        ap.resize_bilinear(crop, ap.PATCH_SIZE)
+        ap.fallback_embedding(crop)
+        cached = ap._resize_taps(7, 5, *ap.PATCH_SIZE) + ap._fallback_layout(7, 5)
+        for a in cached:
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
+    def test_caches_are_bounded(self):
+        for cache in (ap._resize_taps, ap._fallback_layout):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize == ap.SHAPE_CACHE_SIZE
 
 
 class TestScaledMse:
@@ -210,8 +287,10 @@ class TestFallbackEmbedding:
         sizes += [(h, w) for h in (1, 2, 3, 9, 40) for w in range(1, 41)]
         for h, w in sizes:
             crop = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
-            got, want = ap.fallback_embedding(crop), self.per_cell_reference(crop)
-            assert got.tobytes() == want.tobytes(), (h, w)
+            want = self.per_cell_reference(crop)
+            # The second call reads the shape's cached layout.
+            for _ in range(2):
+                assert ap.fallback_embedding(crop).tobytes() == want.tobytes(), (h, w)
 
     def test_empty_cells_contribute_zeros(self):
         # One row: the lower cells are empty; two columns: the last two are.

@@ -377,6 +377,24 @@ class TestLazyCues:
         assert np.array_equal(memory.patch, appearance.resize_bilinear(
             crop, appearance.PATCH_SIZE).astype(np.float32))
 
+    def test_fallback_descriptor_once_per_kept_detection(self, monkeypatch):
+        # The benchmark's per-detection counts read these calls: one per
+        # detection that survives the degenerate-box drop, per frame,
+        # whatever the stage, including a box wholly off the image.
+        crops = []
+        real = appearance.fallback_embedding
+        monkeypatch.setattr(appearance, "fallback_embedding",
+                            lambda crop: crops.append(crop) or real(crop))
+        t = Tracker(config())
+        for k in range(1, 5):
+            dets = [det(k, 40 + k, 30), det(k, 100, 70, score=0.4),
+                    det(k, 10, 10, w=0), det(k, 500, 500)]
+            crops.clear()
+            r = t.step(k, FRAME, dets)
+            assert r.diagnostics.n_degenerate == 1
+            assert len(crops) == 3
+            assert sum(c is None for c in crops) == 1
+
 
 def box_of(state: kalman.KalmanState) -> BoundingBox:
     """One state's predicted box; zero-size at the center when the aspect
