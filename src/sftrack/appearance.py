@@ -33,6 +33,7 @@ EMBEDDING_MOMENTUM = 0.9
 # Spatial layout of the fallback embedding: rows x cols grid of per-cell
 # 3-channel histograms, L2-normalized. 2*4 cells * 24 bins = 192 dims.
 FALLBACK_GRID = (2, 4)
+FALLBACK_DIM = FALLBACK_GRID[0] * FALLBACK_GRID[1] * 3 * HIST_BINS
 
 # Distinct crop shapes whose resize taps and descriptor layouts are kept,
 # least recently used first out. A taps entry is about 4 KiB for PATCH_SIZE;
@@ -126,9 +127,12 @@ def embedding_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every row of ``b`` (m, d), shape (n, m). Vectors are renormalized; zero
     vectors score 0."""
     norms = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)[None, :]
-    out = np.zeros(norms.shape)
-    np.divide(a @ b.T, norms, out=out, where=norms > 0.0)
-    return np.maximum(out, 0.0)
+    positive = norms > 0.0
+    # A plain division, not a masked one (several times slower); the pairs
+    # without a positive norm are zeroed after it.
+    out = (a @ b.T) / np.where(positive, norms, 1.0)
+    out[~positive] = 0.0
+    return np.maximum(out, 0.0, out=out)
 
 
 def extract_crop(frame: np.ndarray, box: BoundingBox) -> np.ndarray | None:
@@ -181,8 +185,7 @@ def fallback_embedding(crop: np.ndarray | None) -> np.ndarray | None:
         return None
     rows, cols = FALLBACK_GRID
     base, pixels, filled = _fallback_layout(*crop.shape[:2])
-    counts = np.bincount((base + crop // _LEVEL).ravel(),
-                         minlength=rows * cols * 3 * HIST_BINS)
+    counts = np.bincount((base + crop // _LEVEL).ravel(), minlength=FALLBACK_DIM)
     counts = counts.reshape(rows * cols, 3 * HIST_BINS)
     vec = np.zeros(counts.shape)
     np.divide(counts, pixels, out=vec, where=filled)
@@ -226,13 +229,16 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Cues:
     """One detection's appearance in one frame, all taken from a single crop.
 
     ``crop`` is a view into the frame, None when the box is empty after
     clamping to the frame. ``histogram`` and ``patch`` (float64) are
     computed on first read and then kept; both are None without a crop.
+    Nothing assigns to a record after it is made. It is not a frozen
+    dataclass because a frozen ``__init__`` costs about three times as
+    much, and every detection of every frame makes one.
     """
 
     crop: np.ndarray | None = field(repr=False)
@@ -260,8 +266,9 @@ def detection_cues(frame: np.ndarray, box: BoundingBox, embedding: np.ndarray | 
 
 @dataclass
 class AppearanceMemory:
-    """Per-track appearance: a copy of the last matched detection's crop and
-    the running embedding.
+    """Per-track appearance: a copy of the last matched detection's crop.
+    The running embedding is a row of the tracker's embedding table (see
+    :func:`update_embeddings`).
 
     The copy keeps no frame alive. ``histogram`` and ``patch`` are computed
     from it on first read and kept until the next update; the histogram a
@@ -271,7 +278,6 @@ class AppearanceMemory:
     """
 
     crop: np.ndarray | None = field(default=None, repr=False)
-    embedding: np.ndarray | None = field(default=None, repr=False)
 
     def update(self, cues: Cues) -> None:
         # A degenerate crop leaves the previous crop, histogram and patch in
@@ -284,7 +290,6 @@ class AppearanceMemory:
             self.__dict__.pop("patch", None)
             if "histogram" in cues.__dict__:
                 self.__dict__["histogram"] = cues.histogram
-        self.update_embedding(cues.embedding)
 
     @cached_property
     def histogram(self) -> np.ndarray | None:
@@ -296,12 +301,23 @@ class AppearanceMemory:
             return None
         return resize_bilinear(self.crop, PATCH_SIZE).astype(np.float32)
 
-    def update_embedding(self, embedding: np.ndarray | None) -> None:
-        if embedding is None:
-            return
-        if self.embedding is None:
-            self.embedding = embedding.copy()
-            return
-        mixed = EMBEDDING_MOMENTUM * self.embedding + (1.0 - EMBEDDING_MOMENTUM) * embedding
-        norm = np.linalg.norm(mixed)
-        self.embedding = mixed / norm if norm > 0 else embedding.copy()
+
+def update_embeddings(table: np.ndarray, has: np.ndarray, rows: np.ndarray,
+                      new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New running embeddings (N, D) and their has-embedding mask (N,) after
+    row ``rows[i]`` of ``table`` takes the embedding ``new[i]``.
+
+    A row without an embedding copies ``new[i]``. A row with one becomes
+    the mix EMBEDDING_MOMENTUM * old + (1 - EMBEDDING_MOMENTUM) * new,
+    divided by its norm, or ``new[i]`` itself when that norm is 0. Each row
+    gets the floating-point operations of a one-vector update; the norm is
+    one dot product per row, as ``np.linalg.norm`` takes it for a vector.
+    ``rows`` must not repeat. The inputs are not modified.
+    """
+    table, has = table.copy(), has.copy()
+    mixed = EMBEDDING_MOMENTUM * table[rows] + (1.0 - EMBEDDING_MOMENTUM) * new
+    norm = np.sqrt(mixed[:, None, :] @ mixed[:, :, None])[:, 0]
+    table[rows] = np.divide(mixed, norm, out=np.array(new, dtype=float),
+                            where=has[rows, None] & (norm > 0.0))
+    has[rows] = True
+    return table, has

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import appearance
-from .types import Detection, iou_matrix
+from .types import iou_matrix
 
 FORBIDDEN = np.inf
 
@@ -44,6 +44,8 @@ def hungarian(cost: np.ndarray, min_similarity: float = 0.0) -> Assignment:
 
     FORBIDDEN entries are never selected. Matches whose similarity
     (1 - cost) falls below ``min_similarity`` are demoted to unmatched.
+    Matches come in increasing row order, unmatched rows and columns in
+    increasing order.
     """
     cost = np.asarray(cost, dtype=float)
     n_rows, n_cols = cost.shape if cost.ndim == 2 else (0, 0)
@@ -51,20 +53,45 @@ def hungarian(cost: np.ndarray, min_similarity: float = 0.0) -> Assignment:
         return Assignment([], list(range(n_rows)), list(range(n_cols)))
     solvable = np.where(np.isfinite(cost), cost, _BIG)
     row_idx, col_idx = linear_sum_assignment(solvable)
-    matches = []
-    for r, c in zip(row_idx, col_idx):
-        if not np.isfinite(cost[r, c]):
-            continue
-        if min_similarity > 0.0 and 1.0 - cost[r, c] < min_similarity:
-            continue
-        matches.append((int(r), int(c)))
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
-    return Assignment(
-        matches,
-        [r for r in range(n_rows) if r not in matched_rows],
-        [c for c in range(n_cols) if c not in matched_cols],
-    )
+    chosen = cost[row_idx, col_idx]
+    keep = np.isfinite(chosen)
+    if min_similarity > 0.0:
+        keep &= ~(1.0 - chosen < min_similarity)
+    rows, cols = row_idx[keep], col_idx[keep]
+    free_rows = np.ones(n_rows, dtype=bool)
+    free_rows[rows] = False
+    free_cols = np.ones(n_cols, dtype=bool)
+    free_cols[cols] = False
+    return Assignment(list(zip(rows.tolist(), cols.tolist())),
+                      np.flatnonzero(free_rows).tolist(), np.flatnonzero(free_cols).tolist())
+
+
+@dataclass(frozen=True)
+class Columns:
+    """One side of an association, one row per track or detection.
+
+    ``boxes`` are (n, 4) left, top, right, bottom; ``class_ids`` (n,);
+    ``embeddings`` (n, D), of which only the rows where ``has_embedding``
+    (n,) is set are read. ``cues`` holds each row's crop cues, read for
+    their ``histogram`` and ``patch`` by the second stage: an
+    ``AppearanceMemory`` per track, a ``Cues`` record per detection.
+    """
+
+    boxes: np.ndarray
+    class_ids: np.ndarray
+    embeddings: np.ndarray
+    has_embedding: np.ndarray
+    cues: Sequence
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def take(self, rows: list[int] | slice) -> Columns:
+        """The columns of ``rows`` (a list of indices or a slice), in that
+        order."""
+        cues = self.cues[rows] if isinstance(rows, slice) else [self.cues[i] for i in rows]
+        return Columns(self.boxes[rows], self.class_ids[rows], self.embeddings[rows],
+                       self.has_embedding[rows], cues)
 
 
 def _stack(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> np.ndarray:
@@ -73,57 +100,50 @@ def _stack(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> np.ndar
     return np.stack([blank if r is None else r for r in rows])
 
 
-def _cosines(rows_a: Sequence[np.ndarray | None], rows_b: Sequence[np.ndarray | None],
-             missing: float) -> np.ndarray:
-    """Embedding cosine of every (row_a, row_b) pair as an (n_a, n_b)
-    matrix; ``missing`` where either row has no embedding."""
-    has_a = np.array([r is not None for r in rows_a], dtype=bool)
-    has_b = np.array([r is not None for r in rows_b], dtype=bool)
-    out = np.full((len(rows_a), len(rows_b)), missing)
-    if has_a.any() and has_b.any():
-        out[np.ix_(has_a, has_b)] = appearance.embedding_similarities(
-            np.stack([r for r in rows_a if r is not None]),
-            np.stack([r for r in rows_b if r is not None]))
+def _cosines(a: Columns, b: Columns, missing: float) -> np.ndarray:
+    """Embedding cosine of every (row of a, row of b) pair as a (len(a),
+    len(b)) matrix; ``missing`` where either row has no embedding."""
+    if len(a) and len(b) and a.has_embedding.all() and b.has_embedding.all():
+        return appearance.embedding_similarities(a.embeddings, b.embeddings)
+    out = np.full((len(a), len(b)), missing)
+    if a.has_embedding.any() and b.has_embedding.any():
+        out[np.ix_(a.has_embedding, b.has_embedding)] = appearance.embedding_similarities(
+            a.embeddings[a.has_embedding], b.embeddings[b.has_embedding])
     return out
 
 
-def _same_class(rows: Sequence, cols: Sequence) -> np.ndarray:
-    return (np.array([r.class_id for r in rows])[:, None]
-            == np.array([c.class_id for c in cols])[None, :])
+def _same_class(a: Columns, b: Columns) -> np.ndarray:
+    return a.class_ids[:, None] == b.class_ids[None, :]
 
 
-def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
+def build_stage_matrix(tracks: Columns, detections: Columns,
                        stage: Literal["first", "second"],
-                       cues: Sequence[appearance.Cues],
                        use_appearance: bool = True) -> np.ndarray:
-    """Cost matrix for one cascade stage.
+    """Cost matrix for one cascade stage, tracks by detections.
 
-    ``tracks`` need ``class_id``, ``predicted_box`` and ``appearance``
-    attributes; ``cues`` holds one record per detection. Entries are
-    FORBIDDEN when IoU is below IOU_GATE or the classes differ; the
-    other pairs cost 1 - IoU x the stage's cue: embedding cosine (1 where a
-    side has none) in the first stage, histogram x patch MSE similarity (0
-    where a side has no crop) in the second. ``use_appearance=False`` drops
-    the cue (the confidence-cascade baseline behaviour).
+    Entries are FORBIDDEN when IoU is below IOU_GATE or the classes differ;
+    the other pairs cost 1 - IoU x the stage's cue: embedding cosine (1
+    where a side has none) in the first stage, histogram x patch MSE
+    similarity (0 where a side has no crop) in the second.
+    ``use_appearance=False`` drops the cue (the confidence-cascade baseline
+    behaviour).
     """
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
-    if not tracks or not detections:
+    if not len(tracks) or not len(detections):
         return cost
-    ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
+    ious = iou_matrix(tracks.boxes, detections.boxes)
     ti, dj = np.nonzero(_same_class(tracks, detections) & (ious >= IOU_GATE))
     sim = ious[ti, dj]
-    mem = [t.appearance for t in tracks]
     if use_appearance and stage == "first":
-        cos = _cosines([m.embedding for m in mem], [c.embedding for c in cues], 1.0)
-        sim = sim * cos[ti, dj]
+        sim = sim * _cosines(tracks, detections, 1.0)[ti, dj]
     elif use_appearance and len(ti):
         # Histograms and patches are computed on first read, so only the
         # tracks and detections of candidate pairs are stacked. A missing
         # crop stacks as an all-zero histogram, which scores 0.
         rows, ti_u = np.unique(ti, return_inverse=True)
         cols, dj_u = np.unique(dj, return_inverse=True)
-        mem_rows = [mem[i] for i in rows]
-        cue_cols = [cues[j] for j in cols]
+        mem_rows = [tracks.cues[i] for i in rows]
+        cue_cols = [detections.cues[j] for j in cols]
         bins = (3, appearance.HIST_BINS)
         patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
         sim = (sim * appearance.histogram_similarities(
@@ -136,15 +156,13 @@ def build_stage_matrix(tracks: Sequence, detections: Sequence[Detection],
     return cost
 
 
-def low_init_allowed(low: Sequence[Detection], low_cues: Sequence[appearance.Cues],
-                     high: Sequence[Detection], high_cues: Sequence[appearance.Cues],
-                     rho: float) -> np.ndarray:
+def low_init_allowed(low: Columns, high: Columns, rho: float) -> np.ndarray:
     """The rho gate: which low-confidence detections may start a track. Those
     whose best embedding cosine against this frame's same-class high
     detections exceeds ``rho`` pass, and so do those the gate cannot judge
     (no embedding on the low detection or on every same-class high one)."""
-    if not low or not high:
+    if not len(low) or not len(high):
         return np.ones(len(low), dtype=bool)
-    cos = _cosines([c.embedding for c in low_cues], [c.embedding for c in high_cues], -np.inf)
+    cos = _cosines(low, high, -np.inf)
     best = np.where(_same_class(low, high), cos, -np.inf).max(axis=1)
     return (best == -np.inf) | (best > rho)

@@ -21,9 +21,13 @@ from scipy.optimize import linear_sum_assignment
 
 from .association import FORBIDDEN, hungarian
 from .io_formats import AnnotatedBox
-from .types import iou, iou_matrix
+from .types import BoundingBox, box_array, corners, iou, iou_matrix
 
 FrameBoxes = dict[int, list[AnnotatedBox]]
+
+
+def _iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
+    return iou_matrix(corners(box_array(rows)), corners(box_array(cols)))
 
 
 def remove_ignored(gt: FrameBoxes, hyp: FrameBoxes,
@@ -38,7 +42,7 @@ def remove_ignored(gt: FrameBoxes, hyp: FrameBoxes,
         if not regions:
             hyp_clean[frame] = list(rows)
             continue
-        ious = iou_matrix([r.box for r in rows], regions)
+        ious = _iou_matrix([r.box for r in rows], regions)
         keep = ious.max(axis=1) < iou_threshold if rows else np.zeros(0)
         hyp_clean[frame] = [r for r, k in zip(rows, keep) if k]
     return gt_clean, hyp_clean
@@ -91,7 +95,7 @@ def clear_match(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> 
         used_hyp = set(matches.values())
         free_hyp = [r for r in hyp_rows if r.obj_id not in used_hyp]
         if free_gt and free_hyp:
-            ious = iou_matrix([r.box for r in free_gt], [r.box for r in free_hyp])
+            ious = _iou_matrix([r.box for r in free_gt], [r.box for r in free_hyp])
             cost = np.where(ious >= iou_threshold, 1.0 - ious, FORBIDDEN)
             assignment = hungarian(cost)
             for gi, hj in assignment.matches:
@@ -145,7 +149,7 @@ def idf1(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> Idf1Res
         for r in hyp_rows:
             hyp_len[r.obj_id] = hyp_len.get(r.obj_id, 0) + 1
         if gt_rows and hyp_rows:
-            ious = iou_matrix([r.box for r in gt_rows], [r.box for r in hyp_rows])
+            ious = _iou_matrix([r.box for r in gt_rows], [r.box for r in hyp_rows])
             for gi, hj in zip(*np.nonzero(ious >= iou_threshold)):
                 key = (gt_rows[gi].obj_id, hyp_rows[hj].obj_id)
                 overlap[key] = overlap.get(key, 0) + 1

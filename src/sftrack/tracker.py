@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import appearance, association, kalman, motion
 from .config import TrackerConfig
-from .types import BoundingBox, Detection, to_cxcyah
+from .errors import NumericalError
+from .types import BoundingBox, Detection, box_array, corners, cxcyah
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +51,12 @@ class TrackStatus(enum.Enum):
 
 class Track:
     """An identity-preserving trajectory owned by a single tracker. Its
-    Kalman state is a row of the tracker's stacked state."""
+    Kalman state, class id and running embedding are rows of the tracker's
+    columns; the track keeps its id, status, miss count and crop memory."""
 
-    def __init__(self, track_id: int, detection: Detection, cues: appearance.Cues):
+    def __init__(self, track_id: int, cues: appearance.Cues):
         self.track_id = track_id
-        self.class_id = detection.class_id
         self.status = TrackStatus.ACTIVE
-        # The box of the tracker's predicted state while a step associates;
-        # None between steps.
-        self.predicted_box: BoundingBox | None = None
         self.miss_count = 0
         self.appearance = appearance.AppearanceMemory()
         self.appearance.update(cues)
@@ -77,15 +76,41 @@ class Track:
         return False
 
 
-def predicted_boxes(mean: np.ndarray) -> list[BoundingBox]:
-    """The box of each (N, 8) state mean; a state with non-positive aspect
-    ratio or height gives a zero-size box at its center."""
+def predicted_boxes(mean: np.ndarray) -> np.ndarray:
+    """(N, 4) left, top, width, height of the box of each (N, 8) state
+    mean; a state with non-positive aspect ratio or height gives a zero-size
+    box at its center."""
     cx, cy, a, h = mean[:, :4].T
     valid = (h > 0) & (a > 0)
     width = np.where(valid, a * h, 0.0)
     height = np.where(valid, h, 0.0)
-    rows = np.stack([cx - width / 2.0, cy - height / 2.0, width, height], axis=1)
-    return [BoundingBox(*row) for row in rows.tolist()]
+    return np.stack([cx - width / 2.0, cy - height / 2.0, width, height], axis=1)
+
+
+class PredictedBoxes(Mapping):
+    """Read-only mapping from track id to the track's predicted box in one
+    frame. It holds the ids and their (N, 4) left, top, width, height rows,
+    and builds the ``BoundingBox`` objects the first time a box is read."""
+
+    def __init__(self, ids: Sequence[int] = (), boxes: np.ndarray | None = None):
+        self._ids = list(ids)
+        self._boxes = np.empty((0, 4)) if boxes is None else boxes
+        self._built: dict[int, BoundingBox] | None = None
+
+    def _dict(self) -> dict[int, BoundingBox]:
+        if self._built is None:
+            self._built = {i: BoundingBox(*row)
+                           for i, row in zip(self._ids, self._boxes.tolist())}
+        return self._built
+
+    def __getitem__(self, track_id: int) -> BoundingBox:
+        return self._dict()[track_id]
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 @dataclass
@@ -103,7 +128,7 @@ class FrameDiagnostics:
     used_embeddings: bool = False
     # (before, after) aspect ratios captured around motion compensation.
     aspect_pairs: list[tuple[float, float]] = field(default_factory=list)
-    predicted_boxes: dict[int, BoundingBox] = field(default_factory=dict)
+    predicted_boxes: PredictedBoxes = field(default_factory=PredictedBoxes)
 
 
 @dataclass
@@ -113,13 +138,30 @@ class FrameResult:
     diagnostics: FrameDiagnostics
 
 
+def _detection_columns(dets: list[Detection], cues: list[appearance.Cues],
+                       width: int) -> tuple[np.ndarray, association.Columns]:
+    """The (n, 4) left, top, width, height boxes of ``dets`` and their
+    association columns, with embeddings ``width`` wide."""
+    boxes = box_array([d.box for d in dets])
+    has = np.array([c.embedding is not None for c in cues], dtype=bool)
+    embeddings = np.zeros((len(dets), width))
+    if has.any():
+        embeddings[has] = [c.embedding for c in cues if c.embedding is not None]
+    class_ids = np.array([d.class_id for d in dets], dtype=int)
+    return boxes, association.Columns(corners(boxes), class_ids, embeddings, has, cues)
+
+
 class Tracker:
     """Stateful per-sequence tracker; step() must be called in frame order.
 
-    ``embeddings`` maps (frame, det_index) to precomputed unit vectors; when
-    absent and ``handcrafted_fallback`` is on, a color-layout descriptor is
+    ``embeddings`` maps (frame, det_index) to precomputed unit vectors of
+    one width; a detection without a row has no embedding. Without a table
+    and with ``handcrafted_fallback`` on, a color-layout descriptor is
     computed from the frame pixels instead. With no embeddings at all the
     first association degrades to plain IoU.
+
+    Row i of the stacked Kalman state and of each column (``class_ids``,
+    ``track_embeddings`` and ``has_embedding``) belongs to ``tracks[i]``.
     """
 
     def __init__(self, config: TrackerConfig | None = None,
@@ -128,9 +170,17 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.embeddings = embeddings
         self.handcrafted_fallback = handcrafted_fallback
+        self._fallback = handcrafted_fallback and embeddings is None
+        if embeddings is not None:
+            width = len(next(iter(embeddings.values()), ()))
+        else:
+            width = appearance.FALLBACK_DIM if self._fallback else 0
         self.tracks: list[Track] = []
-        # Row i is the Kalman state of self.tracks[i].
         self.kalman_state = kalman.initiate(np.empty((0, 4)))
+        self.class_ids = np.empty(0, dtype=int)
+        # Running embeddings; a row is read only where has_embedding is set.
+        self.track_embeddings = np.empty((0, width))
+        self.has_embedding = np.empty(0, dtype=bool)
         self._next_id = 1
         self._last_frame_index: int | None = None
         # The previous frame's motion_gray image; only motion compensation
@@ -160,15 +210,18 @@ class Tracker:
                 diag.n_degenerate += 1
                 continue
             embedding = None if self.embeddings is None else self.embeddings.get((frame_index, j))
-            cues = appearance.detection_cues(image, det.box, embedding,
-                                             fallback=self.handcrafted_fallback)
-            high = det.score > cfg.tau
-            (d_high if high else d_low).append(det)
-            (c_high if high else c_low).append(cues)
+            cues = appearance.detection_cues(image, det.box, embedding, fallback=self._fallback)
+            is_high = det.score > cfg.tau
+            (d_high if is_high else d_low).append(det)
+            (c_high if is_high else c_low).append(cues)
         if diag.n_degenerate:
             log.warning("frame %d: dropped %d detection(s) with zero width or height",
                         frame_index, diag.n_degenerate)
         diag.n_high, diag.n_low = len(d_high), len(d_low)
+        # Rows of the detection columns: the high detections, then the low.
+        dets, det_cues = d_high + d_low, c_high + c_low
+        det_boxes, det_cols = _detection_columns(dets, det_cues, self.track_embeddings.shape[1])
+        high, low = det_cols.take(slice(0, diag.n_high)), det_cols.take(slice(diag.n_high, None))
 
         # Predict, then compensate camera motion, over the stacked state of
         # every track. Removed tracks have left self.tracks, so every track
@@ -186,85 +239,90 @@ class Tracker:
                 before = state.mean[:, 2].tolist()
                 state = motion.apply_to_track(estimate.transform, state)
                 diag.aspect_pairs = list(zip(before, state.mean[:, 2].tolist()))
-        for track, box in zip(live, predicted_boxes(state.mean)):
-            track.predicted_box = box
-            diag.predicted_boxes[track.track_id] = box
+        boxes = predicted_boxes(state.mean)
+        if not np.isfinite(boxes).all():
+            raise NumericalError("non-finite predicted track state")
+        diag.predicted_boxes = PredictedBoxes([t.track_id for t in live], boxes)
+        track_cols = association.Columns(corners(boxes), self.class_ids, self.track_embeddings,
+                                         self.has_embedding, [t.appearance for t in live])
 
         # First association: all live tracks vs high-confidence detections.
-        cost = association.build_stage_matrix(live, d_high, "first", c_high,
+        cost = association.build_stage_matrix(track_cols, high, "first",
                                               use_appearance=use_embeddings)
-        diag.used_embeddings = bool(
-            use_embeddings and any(t.appearance.embedding is not None for t in live)
-            and any(c.embedding is not None for c in c_high))
+        diag.used_embeddings = bool(use_embeddings and self.has_embedding.any()
+                                    and high.has_embedding.any())
         first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
-        outputs: list[tuple[int, int, BoundingBox, float]] = []
-        # Rows of `state` matched in either stage, and their measurements.
-        matched_rows: list[int] = []
-        measurements: list[tuple[float, float, float, float]] = []
-        for ti, dj in first.matches:
-            track, det = live[ti], d_high[dj]
-            track.mark_matched(c_high[dj])
-            matched_rows.append(ti)
-            measurements.append(to_cxcyah(det.box))
-            outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_first = len(first.matches)
 
         # Second association: leftovers vs low-confidence detections. It
-        # reads no Kalman state, so one update after it covers both stages.
+        # reads no Kalman state or embedding, so one update after it covers
+        # both stages.
         remaining = first.unmatched_rows
         cost2 = association.build_stage_matrix(
-            [live[i] for i in remaining], d_low, "second", c_low,
+            track_cols.take(remaining), low, "second",
             use_appearance=cfg.traditional_second_assoc)
         second = association.hungarian(cost2, association.MIN_FUSED_SIM_SECOND)
-        for ti, dj in second.matches:
-            track, det = live[remaining[ti]], d_low[dj]
-            track.mark_matched(c_low[dj])
-            matched_rows.append(remaining[ti])
-            measurements.append(to_cxcyah(det.box))
-            outputs.append((track.track_id, track.class_id, det.box, det.score))
         diag.n_matched_second = len(second.matches)
-        # Nothing reads a predicted box after association; keep none.
-        for track in live:
-            track.predicted_box = None
-        state[matched_rows] = kalman.update(state[matched_rows],
-                                            np.reshape(measurements, (-1, 4)))
+
+        # Rows matched in either stage, and their detections' rows.
+        rows = np.array([ti for ti, _ in first.matches]
+                        + [remaining[ti] for ti, _ in second.matches], dtype=int)
+        matched = np.array([dj for _, dj in first.matches]
+                           + [diag.n_high + dj for _, dj in second.matches], dtype=int)
+        outputs: list[tuple[int, int, BoundingBox, float]] = []
+        for row, j in zip(rows.tolist(), matched.tolist()):
+            track, det = live[row], dets[j]
+            track.mark_matched(det_cues[j])
+            outputs.append((track.track_id, det.class_id, det.box, det.score))
+        state[rows] = kalman.update(state[rows], cxcyah(det_boxes[matched]))
+        embeddings, has = self.track_embeddings, self.has_embedding
+        mix = det_cols.has_embedding[matched]
+        if mix.any():
+            embeddings, has = appearance.update_embeddings(
+                embeddings, has, rows[mix], det_cols.embeddings[matched[mix]])
 
         # Lifecycle for unmatched tracks; removed ones leave the tracker,
-        # with their rows of the state.
-        for i in second.unmatched_rows:
-            if live[remaining[i]].mark_missed(cfg.grace_frames):
-                diag.n_removed += 1
-        kept = [t.status != TrackStatus.REMOVED for t in live]
-        tracks = [t for t, keep in zip(live, kept) if keep]
-        if diag.n_removed:
-            state = state[np.array(kept)]
+        # with their rows of the state and of every column.
+        removed = [remaining[i] for i in second.unmatched_rows
+                   if live[remaining[i]].mark_missed(cfg.grace_frames)]
+        diag.n_removed = len(removed)
+        tracks = list(live)
+        class_ids = self.class_ids
+        if removed:
+            kept = np.ones(len(live), dtype=bool)
+            kept[removed] = False
+            tracks = [t for t, keep in zip(live, kept.tolist()) if keep]
+            state, class_ids = state[kept], class_ids[kept]
+            embeddings, has = embeddings[kept], has[kept]
 
         # New tracks from unmatched high detections, then from unmatched low
         # detections gated on appearance similarity against this frame's
         # same-class high detections.
-        born = [(d_high[dj], c_high[dj]) for dj in first.unmatched_cols]
+        born = first.unmatched_cols
         diag.n_new_high = len(born)
         if cfg.low_init_enabled:
             candidates = second.unmatched_cols
-            allowed = association.low_init_allowed(
-                [d_low[dj] for dj in candidates], [c_low[dj] for dj in candidates],
-                d_high, c_high, cfg.rho)
-            born += [(d_low[dj], c_low[dj]) for dj, ok in zip(candidates, allowed) if ok]
+            allowed = association.low_init_allowed(low.take(candidates), high, cfg.rho)
+            born = born + [diag.n_high + dj for dj, ok in zip(candidates, allowed) if ok]
             diag.n_new_low = len(born) - diag.n_new_high
         if born:
-            new = kalman.initiate([to_cxcyah(det.box) for det, _ in born])
+            new = kalman.initiate(cxcyah(det_boxes[born]))
             state = kalman.KalmanState(np.concatenate([state.mean, new.mean]),
                                        np.concatenate([state.covariance, new.covariance]))
-        for det, cues in born:
-            track = Track(self._next_id, det, cues)
+            class_ids = np.concatenate([class_ids, det_cols.class_ids[born]])
+            embeddings = np.concatenate([embeddings, det_cols.embeddings[born]])
+            has = np.concatenate([has, det_cols.has_embedding[born]])
+        for j in born:
+            track, det = Track(self._next_id, det_cues[j]), dets[j]
             self._next_id += 1
             tracks.append(track)
-            outputs.append((track.track_id, track.class_id, det.box, det.score))
+            outputs.append((track.track_id, det.class_id, det.box, det.score))
 
         outputs.sort(key=lambda o: o[0])
-        # The track list and its stacked state change together, so a frame
-        # that raises leaves them aligned.
+        # The track list, its stacked state and its columns change together,
+        # so a frame that raises leaves them aligned.
         self.tracks, self.kalman_state = tracks, state
+        self.class_ids, self.track_embeddings, self.has_embedding = class_ids, embeddings, has
         self._last_frame_index = frame_index
         self._prev_gray = gray
         return FrameResult(frame_index, outputs, diag)

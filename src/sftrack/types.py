@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +63,26 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU between two box lists, vectorized."""
-    if not rows or not cols:
+def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """(n, 4) left, top, width, height rows of ``boxes``."""
+    # One flat list converts faster than a list of 4-tuples.
+    values: list[float] = []
+    for b in boxes:
+        values += (b.left, b.top, b.width, b.height)
+    return np.array(values, dtype=float).reshape(-1, 4)
+
+
+def corners(ltwh: np.ndarray) -> np.ndarray:
+    """(n, 4) left, top, right, bottom rows of (n, 4) left, top, width,
+    height rows; right is left + width, as in ``BoundingBox.right``."""
+    return np.concatenate([ltwh[:, :2], ltwh[:, :2] + ltwh[:, 2:]], axis=1)
+
+
+def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two (n, 4) left, top, right, bottom arrays."""
+    if not len(rows) or not len(cols):
         return np.zeros((len(rows), len(cols)))
-    ra = np.array([[b.left, b.top, b.right, b.bottom] for b in rows], dtype=float)
-    ca = np.array([[b.left, b.top, b.right, b.bottom] for b in cols], dtype=float)
+    ra, ca = rows, cols
     ix = np.minimum(ra[:, None, 2], ca[None, :, 2]) - np.maximum(ra[:, None, 0], ca[None, :, 0])
     iy = np.minimum(ra[:, None, 3], ca[None, :, 3]) - np.maximum(ra[:, None, 1], ca[None, :, 1])
     inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
@@ -94,6 +109,13 @@ def from_cxcyah(cx: float, cy: float, aspect: float, height: float) -> BoundingB
     """Inverse of :func:`to_cxcyah`."""
     width = aspect * height
     return BoundingBox(cx - width / 2.0, cy - height / 2.0, width, height)
+
+
+def cxcyah(ltwh: np.ndarray) -> np.ndarray:
+    """:func:`to_cxcyah` of every (n, 4) left, top, width, height row, with
+    the same operations; every height must be positive."""
+    left, top, width, height = ltwh.T
+    return np.stack([left + width / 2.0, top + height / 2.0, width / height, height], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -226,6 +226,19 @@ class TestEmbeddingSimilarity:
         assert np.allclose(ap.embedding_similarities(a, b),
                            [[0.0, 1.0], [0.0, 0.0], [0.8, 0.6]])
 
+    def test_equals_masked_division_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(40, 16)) * rng.uniform(0.1, 10.0, size=(40, 1))
+        b = rng.normal(size=(30, 16))
+        a[[3, 7]] = 0.0
+        b[5] = 0.0
+        norms = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)[None, :]
+        want = np.zeros(norms.shape)
+        np.divide(a @ b.T, norms, out=want, where=norms > 0.0)
+        got = ap.embedding_similarities(a, b)
+        assert np.array_equal(got, np.maximum(want, 0.0))
+        assert not got[[3, 7]].any() and not got[:, 5].any()
+
 
 class TestExtractCrop:
     def setup_method(self):
@@ -339,13 +352,16 @@ class TestLoadEmbeddings:
 
 class TestAppearanceMemory:
     def test_ema_stays_unit(self):
+        # A track's running embedding is a row of the embedding table.
         rng = np.random.default_rng(2)
-        mem = ap.AppearanceMemory()
+        table, has = np.zeros((3, 16)), np.zeros(3, dtype=bool)
         for _ in range(20):
             v = rng.normal(size=16)
             v /= np.linalg.norm(v)
-            mem.update_embedding(v)
-            assert np.linalg.norm(mem.embedding) == pytest.approx(1.0, abs=1e-9)
+            table, has = ap.update_embeddings(table, has, np.array([1]), v[None])
+            assert np.linalg.norm(table[1]) == pytest.approx(1.0, abs=1e-9)
+        assert has.tolist() == [False, True, False]
+        assert not table[[0, 2]].any()
 
     def test_degenerate_crop_keeps_previous(self):
         frame = solid(10, 20, 30)

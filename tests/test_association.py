@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftrack import appearance as ap
-from sftrack.association import FORBIDDEN, IOU_GATE, build_stage_matrix, hungarian
+from sftrack.association import (FORBIDDEN, IOU_GATE, Assignment, Columns, build_stage_matrix,
+                                 hungarian, low_init_allowed)
 from sftrack.appearance import AppearanceMemory, detection_cues
-from sftrack.types import BoundingBox, Detection, iou_matrix
+from sftrack.types import BoundingBox, Detection, box_array, corners, iou_matrix
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -23,10 +24,34 @@ def brute_force_min(cost: np.ndarray) -> float:
 
 
 class _FakeTrack:
+    """One track's predicted box, class id, running embedding and crop
+    memory; ``_track_columns`` stacks them as the tracker does."""
+
     def __init__(self, box, class_id=0, embedding=None):
         self.predicted_box = box
         self.class_id = class_id
-        self.appearance = AppearanceMemory(embedding=embedding)
+        self.embedding = embedding
+        self.appearance = AppearanceMemory()
+
+
+def _columns(boxes, class_ids, embeddings, cues) -> Columns:
+    width = max((e.size for e in embeddings if e is not None), default=0)
+    table = np.zeros((len(boxes), width))
+    for i, e in enumerate(embeddings):
+        if e is not None:
+            table[i] = e
+    return Columns(corners(box_array(boxes)), np.array(class_ids, dtype=int), table,
+                   np.array([e is not None for e in embeddings], dtype=bool), list(cues))
+
+
+def _track_columns(tracks) -> Columns:
+    return _columns([t.predicted_box for t in tracks], [t.class_id for t in tracks],
+                    [t.embedding for t in tracks], [t.appearance for t in tracks])
+
+
+def _det_columns(dets, cues) -> Columns:
+    return _columns([d.box for d in dets], [d.class_id for d in dets],
+                    [c.embedding for c in cues], cues)
 
 
 def _cues(frame, dets, embeddings=None):
@@ -34,9 +59,13 @@ def _cues(frame, dets, embeddings=None):
     return [detection_cues(frame, d.box, e) for d, e in zip(dets, embeddings)]
 
 
-def _one_pair(stage, track, det, frame, embedding=None, use_appearance=True):
-    cost = build_stage_matrix([track], [det], stage, _cues(frame, [det], [embedding]),
+def _matrix(tracks, dets, stage, cues, use_appearance=True):
+    return build_stage_matrix(_track_columns(tracks), _det_columns(dets, cues), stage,
                               use_appearance=use_appearance)
+
+
+def _one_pair(stage, track, det, frame, embedding=None, use_appearance=True):
+    cost = _matrix([track], [det], stage, _cues(frame, [det], [embedding]), use_appearance)
     return float(cost[0, 0])
 
 
@@ -133,6 +162,71 @@ class TestHungarian:
             assert got == pytest.approx(brute_force_min(cost), abs=1e-12)
 
 
+def hungarian_loop(cost: np.ndarray, min_similarity: float = 0.0) -> Assignment:
+    """The per-match loop that the array filtering replaced."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.asarray(cost, dtype=float)
+    n_rows, n_cols = cost.shape if cost.ndim == 2 else (0, 0)
+    if n_rows == 0 or n_cols == 0:
+        return Assignment([], list(range(n_rows)), list(range(n_cols)))
+    solvable = np.where(np.isfinite(cost), cost, 1e6)
+    row_idx, col_idx = linear_sum_assignment(solvable)
+    matches = []
+    for r, c in zip(row_idx, col_idx):
+        if not np.isfinite(cost[r, c]):
+            continue
+        if min_similarity > 0.0 and 1.0 - cost[r, c] < min_similarity:
+            continue
+        matches.append((int(r), int(c)))
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    return Assignment(
+        matches,
+        [r for r in range(n_rows) if r not in matched_rows],
+        [c for c in range(n_cols) if c not in matched_cols],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 7), st.integers(0, 7),
+       st.floats(0.0, 1.0), st.sampled_from([0.0, 0.05, 0.1, 0.5]))
+def test_hungarian_matches_per_match_loop(seed, n, m, p_forbidden, min_similarity):
+    rng = np.random.default_rng(seed)
+    # Rounded costs give ties, and costs on the similarity floor itself.
+    cost = rng.uniform(0.0, 1.0, size=(n, m)).round(1)
+    cost[rng.uniform(size=(n, m)) < p_forbidden] = FORBIDDEN
+    got = hungarian(cost, min_similarity)
+    want = hungarian_loop(cost, min_similarity)
+    assert got == want
+    assert all(type(v) is int for pair in got.matches for v in pair)
+    assert all(type(v) is int for v in got.unmatched_rows + got.unmatched_cols)
+
+
+class TestColumns:
+    def test_take_keeps_rows_in_order(self):
+        cols = _columns([BoundingBox(i, 0, 1, 1) for i in range(4)], [0, 1, 0, 1],
+                        [np.array([1.0, 0.0]), None, np.array([0.0, 1.0]), None], "abcd")
+        sub = cols.take([2, 0])
+        assert len(sub) == 2 and sub.cues == ["c", "a"]
+        assert sub.boxes[:, 0].tolist() == [2.0, 0.0]
+        assert sub.class_ids.tolist() == [0, 0]
+        assert sub.has_embedding.tolist() == [True, True]
+        assert sub.embeddings.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        empty = cols.take([])
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4)
+
+    def test_low_init_gate_reads_columns(self):
+        box = BoundingBox(0, 0, 5, 5)
+        low = _columns([box, box, box], [0, 0, 1],
+                       [np.array([1.0, 0.0]), None, np.array([1.0, 0.0])], [None] * 3)
+        high = _columns([box, box], [0, 1], [np.array([0.6, 0.8]), None], [None] * 2)
+        # Row 0: best same-class cosine 0.6; row 1 has no embedding; row 2's
+        # only same-class high detection has none.
+        assert low_init_allowed(low, high, 0.5).tolist() == [True, True, True]
+        assert low_init_allowed(low, high, 0.7).tolist() == [False, True, True]
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_solver_scale_invariance(seed):
@@ -167,14 +261,14 @@ class TestBuildStageMatrix:
         e[0] = 1.0
         track = _FakeTrack(b, class_id=1, embedding=e)
         det = Detection(1, b, 0.9, class_id=1)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det], [e]))
+        cost = _matrix([track], [det], "first", _cues(frame, [det], [e]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_iou_below_gate_forbidden(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
         track = _FakeTrack(BoundingBox(0, 0, 5, 5), class_id=1)
         det = Detection(1, BoundingBox(40, 40, 5, 5), 0.9, class_id=1)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]))
+        cost = _matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
 
     def test_cross_class_forbidden(self):
@@ -182,13 +276,14 @@ class TestBuildStageMatrix:
         b = BoundingBox(10, 10, 20, 20)
         track = _FakeTrack(b, class_id=1)
         det = Detection(1, b, 0.9, class_id=2)
-        cost = build_stage_matrix([track], [det], "first", _cues(frame, [det]))
+        cost = _matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
 
 
 def _oracle(tracks, detections, cues, stage, use_appearance):
     """The per-pair loop the array builder replaced, written out in full."""
-    ious = iou_matrix([t.predicted_box for t in tracks], [d.box for d in detections])
+    ious = iou_matrix(corners(box_array([t.predicted_box for t in tracks])),
+                      corners(box_array([d.box for d in detections])))
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
     for i, track in enumerate(tracks):
         mem = track.appearance
@@ -197,9 +292,9 @@ def _oracle(tracks, detections, cues, stage, use_appearance):
                 continue
             sim = ious[i, j]
             if use_appearance and stage == "first":
-                if mem.embedding is not None and cue.embedding is not None:
-                    cos = np.dot(mem.embedding, cue.embedding) / (
-                        np.linalg.norm(mem.embedding) * np.linalg.norm(cue.embedding))
+                if track.embedding is not None and cue.embedding is not None:
+                    cos = np.dot(track.embedding, cue.embedding) / (
+                        np.linalg.norm(track.embedding) * np.linalg.norm(cue.embedding))
                     sim *= max(0.0, cos)
             elif use_appearance:
                 if mem.histogram is None or cue.histogram is None:
@@ -240,13 +335,14 @@ def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance)
             seen = detection_cues(frame, _random_box(rng),
                                   _random_unit(rng, dim) if rng.uniform() < 0.7 else None)
             track.appearance.update(seen)
+            track.embedding = seen.embedding
         tracks.append(track)
     detections = [Detection(1, _random_box(rng), float(rng.uniform()),
                             class_id=int(rng.integers(0, 2)))
                   for _ in range(rng.integers(0, 7))]
     cues = _cues(frame, detections, [_random_unit(rng, dim) if rng.uniform() < 0.7 else None
                                      for _ in detections])
-    got = build_stage_matrix(tracks, detections, stage, cues, use_appearance)
+    got = _matrix(tracks, detections, stage, cues, use_appearance)
     want = _oracle(tracks, detections, cues, stage, use_appearance)
     assert got.shape == want.shape
     assert np.array_equal(np.isinf(got), np.isinf(want))

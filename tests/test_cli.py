@@ -115,6 +115,17 @@ class TestTrack:
                          "--out", str(out)]) == 0
         assert out.read_text()
 
+    def test_embeddings_file_missing_rows_runs(self, tiny_seq, tmp_path):
+        # Detections without a row have no embedding; no fallback descriptor
+        # of another width meets the file's vectors.
+        emb = tmp_path / "emb.txt"
+        emb.write_text("1,0,1,0,0,0\n")
+        out = tmp_path / "res.txt"
+        assert cli.main(["track", "--seq", str(tiny_seq), "--det",
+                         str(tiny_seq / "det.txt"), "--embeddings", str(emb),
+                         "--out", str(out)]) == 0
+        assert {line.split(",")[0] for line in out.read_text().splitlines()} >= {"1", "2"}
+
     def test_degenerate_detection_rows_run(self, tiny_seq, tmp_path, capsys):
         det = tmp_path / "det.txt"
         rows = (tiny_seq / "det.txt").read_text()

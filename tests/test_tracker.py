@@ -240,7 +240,8 @@ class TestDegenerateDetections:
         table = {(1, 0): e0, (1, 1): e1}
         t = Tracker(config(), embeddings=table, handcrafted_fallback=False)
         t.step(1, FRAME, [det(1, 50, 40, h=0), det(1, 10, 10, score=0.9)])
-        assert np.array_equal(t.tracks[0].appearance.embedding, e1)
+        assert t.has_embedding.tolist() == [True]
+        assert np.array_equal(t.track_embeddings[0], e1)
 
 
 def held_arrays(obj, seen=None) -> list[np.ndarray]:
@@ -448,6 +449,122 @@ class TestStackedKalmanBookkeeping:
                           (2, 0, 1, 0), (2, 1, 1, 1), (4, 0, 0, 0)]
 
 
+def update_embedding(current: np.ndarray | None, embedding: np.ndarray | None):
+    """The one-vector running-embedding update that the embedding table
+    replaced: copy the first embedding, then mix, renormalise, and fall back
+    to the new vector when the mix has norm 0."""
+    if embedding is None:
+        return current
+    if current is None:
+        return embedding.copy()
+    mixed = (appearance.EMBEDDING_MOMENTUM * current
+             + (1.0 - appearance.EMBEDDING_MOMENTUM) * embedding)
+    norm = np.linalg.norm(mixed)
+    return mixed / norm if norm > 0 else embedding.copy()
+
+
+class TestEmbeddingTable:
+    # Identity of each detection of TestStackedKalmanBookkeeping.STREAM; E
+    # and G are of class 1. Rows missing from the embedding table: A's
+    # first-stage match on frame 3 and E's birth on frame 4. C (frame 2)
+    # and E (frame 6) are second-stage matches with an embedding; C and D
+    # leave at the tail of the table while E is born (frame 4), B from the
+    # middle while G is born (frame 6).
+    LABELS = ["ABCD", "ACD", "AB", "ABE", "AEF", "AEFG", "AEFG"]
+    MISSING = {(3, 0), (4, 2)}
+    DIM = 128
+
+    def stream_and_table(self):
+        rng = np.random.default_rng(11)
+        identity = {c: rng.normal(size=self.DIM) for c in "ABCDEFG"}
+        stream, table = [], {}
+        for (k, dets), labels in zip(TestStackedKalmanBookkeeping.STREAM, self.LABELS):
+            stream.append((k, [Detection(d.frame, d.box, d.score, int(c in "EG"))
+                               for d, c in zip(dets, labels)]))
+            for j, c in enumerate(labels):
+                if (k, j) not in self.MISSING:
+                    v = identity[c] / np.linalg.norm(identity[c]) + 0.03 * rng.normal(size=self.DIM)
+                    table[(k, j)] = v / np.linalg.norm(v)
+        return stream, table
+
+    def test_rows_equal_one_vector_updates_bit_for_bit(self):
+        stream, table = self.stream_and_table()
+        # The fallback flag stays on: with a table it never runs.
+        t = Tracker(config(grace_frames=2), embeddings=table)
+        ref: dict[int, np.ndarray | None] = {}
+        classes: dict[int, int] = {}
+        events = []
+        for k, dets in stream:
+            r = t.step(k, FRAME, dets)
+            d = r.diagnostics
+            events.append((d.n_matched_first, d.n_matched_second, d.n_new_high, d.n_removed))
+            for tid, cls, box, _score in r.outputs:
+                j = next(j for j, x in enumerate(dets) if x.box is box)
+                ref[tid] = update_embedding(ref.get(tid), table.get((k, j)))
+                classes.setdefault(tid, cls)
+            ids = [tr.track_id for tr in t.tracks]
+            assert t.track_embeddings.shape == (len(ids), self.DIM), f"frame {k}"
+            assert t.class_ids.tolist() == [classes[i] for i in ids], f"frame {k}"
+            assert t.has_embedding.tolist() == [ref[i] is not None for i in ids], f"frame {k}"
+            for row, tid in enumerate(ids):
+                if ref[tid] is not None:
+                    assert np.array_equal(t.track_embeddings[row], ref[tid]), (k, tid)
+        assert events == [(0, 0, 4, 0), (2, 1, 0, 0), (2, 0, 0, 0), (2, 0, 1, 2),
+                          (2, 0, 1, 0), (2, 1, 1, 1), (4, 0, 0, 0)]
+        assert set(classes.values()) == {0, 1}
+
+    def test_update_matches_one_vector_update_on_random_rows(self):
+        rng = np.random.default_rng(4)
+        n, dim = 300, 33
+        table = rng.normal(size=(n, dim)) * rng.uniform(0.01, 10.0, size=(n, 1))
+        has = rng.uniform(size=n) < 0.7
+        rows = rng.permutation(n)[:200]
+        new = rng.normal(size=(200, dim))
+        # A zero mix: the old row and the new vector are both zero.
+        table[rows[0]] = 0.0
+        has[rows[0]] = True
+        new[0] = 0.0
+        got, got_has = appearance.update_embeddings(table, has, rows, new)
+        assert got_has.tolist() == [h or i in set(rows.tolist()) for i, h in enumerate(has)]
+        for i in range(n):
+            old = table[i] if has[i] else None
+            hit = np.flatnonzero(rows == i)
+            want = update_embedding(old, new[hit[0]]) if hit.size else old
+            if want is not None:
+                assert np.array_equal(got[i], want), i
+
+
+class TestPredictedBoxes:
+    def test_mapping_is_read_only_and_built_on_read(self):
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40), det(1, 100, 70)])
+        boxes = t.step(2, FRAME, []).diagnostics.predicted_boxes
+        assert len(boxes) == 2 and boxes._built is None
+        assert list(boxes) == [1, 2]
+        assert boxes[1] == box_of(kalman.predict(kalman.initiate(to_cxcyah(BoundingBox(50, 40, 20, 20)))))
+        assert boxes._built is not None
+        with pytest.raises(TypeError):
+            boxes[3] = BoundingBox(0, 0, 1, 1)
+
+    def test_non_finite_prediction_is_a_numerical_error(self, monkeypatch):
+        from sftrack.errors import NumericalError
+
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40)])
+        real = kalman.predict
+
+        def broken(state):
+            out = real(state)
+            out.mean[:, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(kalman, "predict", broken)
+        with pytest.raises(NumericalError, match="non-finite"):
+            t.step(2, FRAME, [det(2, 52, 40)])
+        # The failed frame left the track list and its rows aligned.
+        assert len(t.tracks) == len(t.class_ids) == len(t.kalman_state.mean) == 1
+
+
 class TestByteEquivalence:
     def test_embeddings_unused_without_provider(self):
         cfg = config(low_init_enabled=False, traditional_second_assoc=False)
@@ -498,6 +615,24 @@ class TestFileEmbeddings:
         r = t.step(2, FRAME, [det(2, 52, 40, score=0.9)])
         assert r.diagnostics.used_embeddings
         assert r.diagnostics.n_matched_first == 1
+
+    def test_row_missing_from_table_means_no_embedding(self, monkeypatch):
+        # With a table, a detection without a row has no embedding, even
+        # with the hand-crafted fallback on: the first stage scores it by IoU
+        # and the rho gate cannot judge it.
+        calls = []
+        monkeypatch.setattr(appearance, "fallback_embedding", lambda crop: calls.append(crop))
+        e = np.array([1.0, 0.0, 0.0, 0.0])
+        t = Tracker(config(rho=0.99), embeddings={(1, 0): e})
+        t.step(1, FRAME, [det(1, 50, 40)])
+        r = t.step(2, FRAME, [det(2, 52, 40)])
+        assert r.diagnostics.n_matched_first == 1
+        assert not r.diagnostics.used_embeddings
+        r = t.step(3, FRAME, [det(3, 54, 40), det(3, 120, 90, score=0.4)])
+        assert (r.diagnostics.n_matched_first, r.diagnostics.n_new_low) == (1, 1)
+        assert calls == []
+        assert t.has_embedding.tolist() == [True, False]
+        assert np.array_equal(t.track_embeddings[0], e)
 
 
 TAU = TrackerConfig().tau

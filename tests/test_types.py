@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sftrack.types import (BoundingBox, Detection, from_cxcyah, iou, iou_matrix,
-                           to_cxcyah)
+from sftrack.types import (BoundingBox, Detection, box_array, corners, cxcyah, from_cxcyah,
+                           iou, iou_matrix, to_cxcyah)
 
 
 def box(l, t, w, h):
@@ -52,10 +53,58 @@ class TestIou:
     def test_matrix_matches_scalar(self):
         rows = [box(0, 0, 10, 10), box(5, 5, 20, 8)]
         cols = [box(3, 2, 10, 10), box(100, 100, 5, 5), box(5, 0, 10, 10)]
-        m = iou_matrix(rows, cols)
+        m = iou_matrix(corners(box_array(rows)), corners(box_array(cols)))
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 assert m[i, j] == pytest.approx(iou(r, c), abs=1e-12)
+
+
+def iou_matrix_of_lists(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
+    """The box-list IoU kernel that the array kernel replaced."""
+    if not rows or not cols:
+        return np.zeros((len(rows), len(cols)))
+    ra = np.array([[b.left, b.top, b.right, b.bottom] for b in rows], dtype=float)
+    ca = np.array([[b.left, b.top, b.right, b.bottom] for b in cols], dtype=float)
+    ix = np.minimum(ra[:, None, 2], ca[None, :, 2]) - np.maximum(ra[:, None, 0], ca[None, :, 0])
+    iy = np.minimum(ra[:, None, 3], ca[None, :, 3]) - np.maximum(ra[:, None, 1], ca[None, :, 1])
+    inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
+    area_r = (ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
+    area_c = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
+    union = area_r[:, None] + area_c[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+any_boxes = st.builds(
+    BoundingBox,
+    st.floats(-1000, 1000), st.floats(-1000, 1000),
+    st.one_of(st.just(0.0), st.floats(0.0, 500)), st.one_of(st.just(0.0), st.floats(0.0, 500)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(any_boxes, max_size=6), st.lists(any_boxes, max_size=6))
+def test_iou_matrix_on_arrays_equals_box_list_kernel_bit_for_bit(rows, cols):
+    got = iou_matrix(corners(box_array(rows)), corners(box_array(cols)))
+    want = iou_matrix_of_lists(rows, cols)
+    assert got.shape == want.shape == (len(rows), len(cols))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200)
+@given(st.lists(any_boxes.filter(lambda b: b.height >= 1e-3), max_size=6))
+def test_cxcyah_rows_equal_to_cxcyah_bit_for_bit(boxes):
+    got = cxcyah(box_array(boxes))
+    assert got.shape == (len(boxes), 4)
+    assert got.tolist() == [list(to_cxcyah(b)) for b in boxes]
+
+
+def test_corners_right_is_left_plus_width():
+    boxes = [box(0.1, 0.2, 0.7, 1e-3), box(-3.3, 1e6, 2.2, 0.0)]
+    assert corners(box_array(boxes)).tolist() == [[b.left, b.top, b.right, b.bottom]
+                                                  for b in boxes]
+    assert corners(box_array([])).shape == (0, 4)
 
 
 finite_boxes = st.builds(
