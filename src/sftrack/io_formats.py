@@ -8,6 +8,7 @@ Frames are numbered 1-based everywhere. Images are numpy arrays of shape
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,6 +95,28 @@ def _float_field(raw: str, path, lineno) -> float:
         raise ParseError(f"non-numeric field {raw!r}", str(path), lineno)
 
 
+def _int_field(raw: str, path, lineno, name: str) -> int:
+    """An integer column (frame, id, category); ``1.0`` reads as 1."""
+    value = _float_field(raw, path, lineno)
+    if not value.is_integer():  # also false for inf and nan
+        raise ParseError(f"{name} must be a whole number, got {raw!r}", str(path), lineno)
+    return int(value)
+
+
+def _box_fields(raw: list[str], path, lineno) -> BoundingBox:
+    try:
+        return BoundingBox(*(_float_field(p, path, lineno) for p in raw))
+    except ValueError as exc:  # a non-finite coordinate
+        raise ParseError(str(exc), str(path), lineno)
+
+
+def _score_field(raw: str, path, lineno) -> float:
+    value = _float_field(raw, path, lineno)
+    if not math.isfinite(value):
+        raise ParseError(f"score must be finite, got {raw!r}", str(path), lineno)
+    return value
+
+
 def read_mot_detections(path: str | Path) -> dict[int, list[Detection]]:
     """Parse ``frame,id,left,top,width,height,conf[,x,y,z]`` detection files.
 
@@ -106,9 +129,9 @@ def read_mot_detections(path: str | Path) -> dict[int, list[Detection]]:
         if not line.strip():
             continue
         parts = _split_fields(line, path, lineno, 7)
-        frame = int(_float_field(parts[0], path, lineno))
-        box = BoundingBox(*(_float_field(p, path, lineno) for p in parts[2:6]))
-        score = _float_field(parts[6], path, lineno)
+        frame = _int_field(parts[0], path, lineno, "frame")
+        box = _box_fields(parts[2:6], path, lineno)
+        score = _score_field(parts[6], path, lineno)
         if frame < 1:
             raise ParseError(f"frame index must be 1-based, got {frame}", str(path), lineno)
         rows.append((frame, box, score))
@@ -154,11 +177,11 @@ def read_visdrone(path: str | Path, mode: str = "det",
         if not line.strip():
             continue
         parts = _split_fields(line, path, lineno, 8)
-        frame = int(_float_field(parts[0], path, lineno))
-        obj_id = int(_float_field(parts[1], path, lineno))
-        box = BoundingBox(*(_float_field(p, path, lineno) for p in parts[2:6]))
-        score = _float_field(parts[6], path, lineno)
-        category = int(_float_field(parts[7], path, lineno))
+        frame = _int_field(parts[0], path, lineno, "frame")
+        obj_id = _int_field(parts[1], path, lineno, "id")
+        box = _box_fields(parts[2:6], path, lineno)
+        score = _score_field(parts[6], path, lineno)
+        category = _int_field(parts[7], path, lineno, "category")
         if categories is not None and category not in categories:
             continue
         ignored = mode == "gt" and score == 0.0
@@ -180,11 +203,11 @@ def read_mot_annotations(path: str | Path) -> dict[int, list[AnnotatedBox]]:
         if not line.strip():
             continue
         parts = _split_fields(line, path, lineno, 6)
-        frame = int(_float_field(parts[0], path, lineno))
-        obj_id = int(_float_field(parts[1], path, lineno))
-        box = BoundingBox(*(_float_field(p, path, lineno) for p in parts[2:6]))
-        score = _float_field(parts[6], path, lineno) if len(parts) > 6 else 1.0
-        class_id = int(_float_field(parts[7], path, lineno)) if len(parts) > 7 else -1
+        frame = _int_field(parts[0], path, lineno, "frame")
+        obj_id = _int_field(parts[1], path, lineno, "id")
+        box = _box_fields(parts[2:6], path, lineno)
+        score = _score_field(parts[6], path, lineno) if len(parts) > 6 else 1.0
+        class_id = _int_field(parts[7], path, lineno, "class") if len(parts) > 7 else -1
         out.setdefault(frame, []).append(
             AnnotatedBox(frame, obj_id, box, score, class_id, ignored=score == 0.0))
     return out

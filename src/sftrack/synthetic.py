@@ -196,13 +196,17 @@ def _lattice_noise(seed: int, salt: int, wx: np.ndarray, wy: np.ndarray,
                    cell: float) -> np.ndarray:
     """Bilinear value noise over a hashed lattice; output (..., 3) in [0, 1].
 
-    Only the lattice cells actually touched are hashed; per-pixel values are
-    gathered from that table, which keeps full-frame rendering cheap.
+    Only the lattice cells actually touched are hashed. Each channel gathers
+    its four corners from a flat per-channel table and blends them in place:
+    per channel the float32 operations are ``c00 * (1 - fx) + c10 * fx`` for
+    the top and bottom rows, then ``top * (1 - fy) + bot * fy``.
     """
-    gx = np.floor(wx / cell)
-    gy = np.floor(wy / cell)
-    fx = (wx / cell - gx)[..., None]
-    fy = (wy / cell - gy)[..., None]
+    ux = wx / cell
+    uy = wy / cell
+    gx = np.floor(ux)
+    gy = np.floor(uy)
+    fx = (ux - gx).astype(np.float32)
+    fy = (uy - gy).astype(np.float32)
     ix = gx.astype(np.int64)
     iy = gy.astype(np.int64)
 
@@ -211,24 +215,37 @@ def _lattice_noise(seed: int, salt: int, wx: np.ndarray, wy: np.ndarray,
     lat_x = np.arange(x_min, x_max + 2, dtype=np.int64)
     lat_y = np.arange(y_min, y_max + 2, dtype=np.int64)
     lx, ly = np.meshgrid(lat_x, lat_y, indexing="ij")
-    h = hash_coords(seed, lx, ly, salt)
-    ny = h.shape[1]
-    table = np.empty((h.size, 3), dtype=np.float32)
-    flat = h.reshape(-1)
-    table[:, 0] = (flat & np.uint64(0xFF)).astype(np.float32) / 255.0
-    table[:, 1] = ((flat >> np.uint64(8)) & np.uint64(0xFF)).astype(np.float32) / 255.0
-    table[:, 2] = ((flat >> np.uint64(16)) & np.uint64(0xFF)).astype(np.float32) / 255.0
+    h = hash_coords(seed, lx, ly, salt).reshape(-1)
+    ny = lat_y.size
 
-    base = (ix - x_min) * ny + (iy - y_min)
-    c00 = table[base]
-    c10 = table[base + ny]
-    c01 = table[base + 1]
-    c11 = table[base + ny + 1]
-    fx = fx.astype(np.float32)
-    fy = fy.astype(np.float32)
-    top = c00 * (1 - fx) + c10 * fx
-    bot = c01 * (1 - fx) + c11 * fx
-    return top * (1 - fy) + bot * fy
+    i00 = (ix - x_min) * ny + (iy - y_min)
+    i10 = i00 + ny
+    i01 = i00 + 1
+    i11 = i10 + 1
+    one_fx = 1 - fx
+    one_fy = 1 - fy
+    out = np.empty(fx.shape + (3,), dtype=np.float32)
+    top = np.empty(fx.shape, dtype=np.float32)
+    bot = np.empty(fx.shape, dtype=np.float32)
+    tmp = np.empty(fx.shape, dtype=np.float32)
+    for c in range(3):
+        table = ((h >> np.uint64(8 * c)) & np.uint64(0xFF)).astype(np.float32) / 255.0
+        # The corner indices lie inside the table by construction, and
+        # mode="clip" lets take write to ``out`` without a buffer.
+        np.take(table, i00, out=top, mode="clip")
+        top *= one_fx
+        np.take(table, i10, out=tmp, mode="clip")
+        tmp *= fx
+        top += tmp
+        np.take(table, i01, out=bot, mode="clip")
+        bot *= one_fx
+        np.take(table, i11, out=tmp, mode="clip")
+        tmp *= fx
+        bot += tmp
+        top *= one_fy
+        bot *= fy
+        np.add(top, bot, out=out[..., c])
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -238,19 +255,35 @@ def _pixel_grid(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(xs, ys)
 
 
+@lru_cache(maxsize=1)
+def _background(seed: int, w: int, h: int, inverse: bytes) -> np.ndarray:
+    """Read-only float32 noise background of a (h, w) frame.
+
+    The texture lives in world coordinates; ``inverse`` holds the bytes of
+    the image-to-world transform as a float64 (2, 3) ``[linear | translation]``
+    matrix. Frames whose transform is equal, as on a static camera, share one
+    rendering; ``generate`` clears the cache when it returns.
+    """
+    m = np.frombuffer(inverse).reshape(2, 3)
+    px, py = _pixel_grid(w, h)
+    wx = m[0, 0] * px + m[0, 1] * py + m[0, 2]
+    wy = m[1, 0] * px + m[1, 1] * py + m[1, 2]
+    img = np.empty((h, w, 3), dtype=np.float32)
+    img[:] = (105.0, 110.0, 100.0)
+    img += (_lattice_noise(seed, _SALT_BACKGROUND, wx, wy, 24.0) - 0.5) * 90.0
+    img += (_lattice_noise(seed, _SALT_BACKGROUND2, wx, wy, 6.0) - 0.5) * 36.0
+    img.flags.writeable = False
+    return img
+
+
 def render_frame(spec: ScenarioSpec, frame: int, w2i: AffineTransform2D) -> np.ndarray:
     """Render one frame: noise background seen through the camera, then
     textured target rectangles and occluders in z order."""
     h, w = spec.height, spec.width
     px, py = _pixel_grid(w, h)
-    # Background texture lives in world coordinates.
     inv = w2i.inverse()
-    wx = inv.linear[0, 0] * px + inv.linear[0, 1] * py + inv.translation[0]
-    wy = inv.linear[1, 0] * px + inv.linear[1, 1] * py + inv.translation[1]
-    img = np.empty((h, w, 3), dtype=np.float32)
-    img[:] = (105.0, 110.0, 100.0)
-    img += (_lattice_noise(spec.seed, _SALT_BACKGROUND, wx, wy, 24.0) - 0.5) * 90.0
-    img += (_lattice_noise(spec.seed, _SALT_BACKGROUND2, wx, wy, 6.0) - 0.5) * 36.0
+    inverse = np.column_stack([inv.linear, inv.translation]).tobytes()
+    img = _background(spec.seed, w, h, inverse).copy()
 
     s = w2i.scale_x
     layers: list[tuple[BoundingBox, tuple[int, int, int], int]] = []
@@ -376,9 +409,12 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GenerationResult:
     frames_dir.mkdir(parents=True, exist_ok=True)
     gt, dets, motions, w2i_list = build_annotations(spec)
 
-    for k in range(1, spec.frames + 1):
-        image = render_frame(spec, k, w2i_list[k - 1])
-        write_ppm(frames_dir / f"{k:06d}.ppm", image)
+    try:
+        for k in range(1, spec.frames + 1):
+            image = render_frame(spec, k, w2i_list[k - 1])
+            write_ppm(frames_dir / f"{k:06d}.ppm", image)
+    finally:
+        _background.cache_clear()
 
     gt_lines = []
     for k in range(1, spec.frames + 1):

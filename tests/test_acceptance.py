@@ -251,6 +251,33 @@ def test_criterion_08_determinism(presets, tmp_path):
             "matching the recorded digests")
 
 
+# sha256 over the ``"<file sha256>  <relative path>\n"`` lines of every file
+# a preset's ``generate`` writes (each frame, gt.txt, det.txt, seqinfo.ini),
+# sorted by path; recorded before the background cache and the per-channel
+# lattice kernel. Rendering changes keep these bytes.
+PRESET_GENERATED_SHA256 = {
+    "baseline": "18f62f79d7f4a1cd0d5b47ded844add82402d342e769a037efc22b5fd658f2e9",
+    "fast_camera": "025812bca414e7cab141299caa7565c22986d6e7f3f2cadfa691042ee59e7323",
+    "occlusion": "e14d7228d57d6824c51be70caf0ff78b8d89c69b8aca15d0d0800d6025d27f19",
+    "small_objects": "234ea8f53c6a72b11d6d6ed6e6d7c67e060a21aed4812f251ebe3fd3e89ada44",
+}
+
+
+def generated_digest(root) -> str:
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    lines = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}\n"
+                    for rel, p in files)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_generated_preset_bytes(presets):
+    for name, expected in PRESET_GENERATED_SHA256.items():
+        root = presets.generation(name).directory
+        assert generated_digest(root) == expected, \
+            f"{name} generated files differ from the recorded digest"
+    _report("generated preset files match the recorded digests")
+
+
 # -- 9 ----------------------------------------------------------------------
 
 def test_criterion_09_performance(presets):

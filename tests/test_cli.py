@@ -135,6 +135,21 @@ class TestTrack:
                          "--out", str(out)]) == 0
         assert "dropped dets:    2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row", [
+        "inf,-1,30,30,12,12,0.9",     # frame overflows int()
+        "nan,-1,30,30,12,12,0.9",
+        "1.5,-1,30,30,12,12,0.9",     # not a whole frame index
+        "2,-1,30,30,12,12,inf",       # would be rescaled to nan
+        "2,-1,30,30,12,12,nan",
+    ], ids=["frame_inf", "frame_nan", "frame_fraction", "score_inf", "score_nan"])
+    def test_bad_numeric_field_exit_2(self, tiny_seq, tmp_path, capsys, row):
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,30,30,12,12,0.9\n" + row + "\n")
+        code = cli.main(["track", "--seq", str(tiny_seq), "--det", str(det),
+                         "--out", str(tmp_path / "r.txt"), "--no-mc"])
+        assert code == 2
+        assert "d.txt:2" in capsys.readouterr().err
+
     def test_numerical_error_exit_1(self, tiny_seq, tmp_path, monkeypatch, capsys):
         from sftrack import kalman
         from sftrack.errors import NumericalError

@@ -104,6 +104,55 @@ class TestVisdrone:
         assert not rows[3][0].ignored
 
 
+class TestNumericFields:
+    """Integer columns must be whole and finite, scores finite; a bad row
+    raises a ParseError that names its line."""
+
+    GOOD_MOT = "1,-1,10,20,30,40,0.9\n"
+    GOOD_VISDRONE = "1,1,0,0,5,5,1,4,0,0\n"
+
+    @pytest.mark.parametrize("row", [
+        "inf,-1,10,20,30,40,0.9", "nan,-1,10,20,30,40,0.9", "1.5,-1,10,20,30,40,0.9",
+        "1,-1,10,20,30,40,inf", "1,-1,10,20,30,40,nan", "1,-1,10,20,30,40,-inf",
+        "1,-1,nan,20,30,40,0.9", "1,-1,10,20,inf,40,0.9",
+    ])
+    def test_mot_detections(self, tmp_path, row):
+        p = tmp_path / "det.txt"
+        p.write_text(self.GOOD_MOT + row + "\n")
+        with pytest.raises(ParseError, match="det.txt:2"):
+            read_mot_detections(p)
+
+    @pytest.mark.parametrize("row", [
+        "nan,1,0,0,5,5,1,4,0,0", "1,2.5,0,0,5,5,1,4,0,0", "1,1,0,0,5,5,nan,4,0,0",
+        "1,1,0,0,5,5,1,4.5,0,0", "1,1,0,0,5,5,1,inf,0,0",
+    ])
+    def test_visdrone(self, tmp_path, row):
+        p = tmp_path / "gt.txt"
+        p.write_text(self.GOOD_VISDRONE + row + "\n")
+        with pytest.raises(ParseError, match="gt.txt:2"):
+            read_visdrone(p, mode="gt", categories=None)
+
+    @pytest.mark.parametrize("row", [
+        "1.5,1,0,0,5,5", "1,inf,0,0,5,5", "1,1,0,0,5,5,nan", "1,1,0,0,5,5,1,0.5",
+    ])
+    def test_mot_annotations(self, tmp_path, row):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,0,0,5,5,1,1\n" + row + "\n")
+        with pytest.raises(ParseError, match="gt.txt:2"):
+            read_mot_annotations(p)
+
+    def test_whole_floats_read_as_integers(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("2.0,-1.0,10,20,30,40,0.9\n")
+        assert list(read_mot_detections(p)) == [2]
+        p.write_text("2.0,3.0,0,0,5,5,1,4.0,0,0\n")
+        row = read_visdrone(p, mode="gt")[2][0]
+        assert (row.obj_id, row.class_id) == (3, 4)
+        row = read_mot_annotations(p)[2][0]
+        assert (row.frame, row.obj_id, row.class_id) == (2, 3, 4)
+        assert isinstance(row.obj_id, int) and isinstance(row.class_id, int)
+
+
 class _FR:
     def __init__(self, frame, outputs):
         self.frame = frame

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sftrack import synthetic
 from sftrack.errors import ConfigError
-from sftrack.io_formats import read_mot_detections, read_visdrone
+from sftrack.io_formats import read_mot_detections, read_ppm, read_visdrone
+from sftrack.motion import AffineTransform2D
+from sftrack.rng import hash_coords
 from sftrack.synthetic import (CameraSpec, NoiseSpec, ObjectSpec, ScenarioSpec,
                                build_annotations, camera_transforms, generate,
                                parse_scenario, preset, render_frame,
@@ -215,3 +218,127 @@ class TestPresets:
         _m, w2i = camera_transforms(spec)
         img = render_frame(spec, 1, w2i[0])
         assert img.std() > 10  # textured, not flat
+
+
+def reference_lattice_noise(seed, salt, wx, wy, cell):
+    """The interleaved (cells, 3) table kernel that the per-channel
+    ``_lattice_noise`` replaced, kept as its bit-level oracle."""
+    gx = np.floor(wx / cell)
+    gy = np.floor(wy / cell)
+    fx = (wx / cell - gx)[..., None]
+    fy = (wy / cell - gy)[..., None]
+    ix = gx.astype(np.int64)
+    iy = gy.astype(np.int64)
+
+    x_min, x_max = int(ix.min()), int(ix.max())
+    y_min, y_max = int(iy.min()), int(iy.max())
+    lat_x = np.arange(x_min, x_max + 2, dtype=np.int64)
+    lat_y = np.arange(y_min, y_max + 2, dtype=np.int64)
+    lx, ly = np.meshgrid(lat_x, lat_y, indexing="ij")
+    h = hash_coords(seed, lx, ly, salt)
+    ny = h.shape[1]
+    table = np.empty((h.size, 3), dtype=np.float32)
+    flat = h.reshape(-1)
+    table[:, 0] = (flat & np.uint64(0xFF)).astype(np.float32) / 255.0
+    table[:, 1] = ((flat >> np.uint64(8)) & np.uint64(0xFF)).astype(np.float32) / 255.0
+    table[:, 2] = ((flat >> np.uint64(16)) & np.uint64(0xFF)).astype(np.float32) / 255.0
+
+    base = (ix - x_min) * ny + (iy - y_min)
+    c00 = table[base]
+    c10 = table[base + ny]
+    c01 = table[base + 1]
+    c11 = table[base + ny + 1]
+    fx = fx.astype(np.float32)
+    fy = fy.astype(np.float32)
+    top = c00 * (1 - fx) + c10 * fx
+    bot = c01 * (1 - fx) + c11 * fx
+    return top * (1 - fy) + bot * fy
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestLatticeKernel:
+    @pytest.mark.parametrize("cell", [24.0, 6.0, 4.0])
+    @pytest.mark.parametrize("scale,rot_deg,shift", [
+        (1.0, 0.0, (0.0, 0.0)),
+        (1.07, 9.0, (-700.0, -515.0)),    # rotated and zoomed, negative world
+        (0.93, -23.0, (250.0, -80.0)),
+    ])
+    def test_full_grid_matches_reference(self, cell, scale, rot_deg, shift):
+        px, py = synthetic._pixel_grid(640, 480)
+        inv = AffineTransform2D.similarity(scale, math.radians(rot_deg), shift, (320, 240))
+        wx = inv.linear[0, 0] * px + inv.linear[0, 1] * py + inv.translation[0]
+        wy = inv.linear[1, 0] * px + inv.linear[1, 1] * py + inv.translation[1]
+        got = synthetic._lattice_noise(7, 10, wx, wy, cell)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, reference_lattice_noise(7, 10, wx, wy, cell))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 9), (14, 11), (34, 29)])
+    def test_object_grids_match_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(5):
+            # Object-local units around the box center, as render_frame uses.
+            ux = (np.arange(shape[1]) + rng.uniform(-40, 40)) / rng.uniform(0.5, 2.0)
+            uy = (np.arange(shape[0]) + rng.uniform(-40, 40)) / rng.uniform(0.5, 2.0)
+            wx, wy = np.meshgrid(ux, uy)
+            got = synthetic._lattice_noise(11, 1003, wx, wy, 4.0)
+            assert_same_bits(got, reference_lattice_noise(11, 1003, wx, wy, 4.0))
+
+    def test_non_contiguous_slice_matches_reference(self):
+        px, py = synthetic._pixel_grid(160, 120)
+        sub_x, sub_y = px[17:43, 61:90], py[17:43, 61:90]
+        assert not sub_x.flags.c_contiguous
+        for cell in (24.0, 4.0):
+            got = synthetic._lattice_noise(3, 2000, sub_x, sub_y, cell)
+            assert_same_bits(got, reference_lattice_noise(3, 2000, sub_x, sub_y, cell))
+
+
+class TestBackgroundCache:
+    @staticmethod
+    def count_full_frame_calls(monkeypatch, spec):
+        calls = []
+        kernel = synthetic._lattice_noise
+
+        def counted(seed, salt, wx, wy, cell):
+            if wx.shape == (spec.height, spec.width):
+                calls.append(salt)
+            return kernel(seed, salt, wx, wy, cell)
+
+        monkeypatch.setattr(synthetic, "_lattice_noise", counted)
+        synthetic._background.cache_clear()  # a direct render_frame call fills it
+        return calls
+
+    def test_static_camera_renders_background_once(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        calls = self.count_full_frame_calls(monkeypatch, spec)
+        generate(spec, tmp_path / "seq")
+        assert len(calls) == 2
+        assert synthetic._background.cache_info().currsize == 0
+
+    def test_moving_camera_renders_background_every_frame(self, tmp_path, monkeypatch):
+        spec = tiny_spec(camera=CameraSpec(pattern="zigzag", rot_amp_deg=2.0,
+                                           trans_amp_x=4.0, trans_amp_y=3.0,
+                                           scale_amp=0.01))
+        calls = self.count_full_frame_calls(monkeypatch, spec)
+        generate(spec, tmp_path / "seq")
+        assert len(calls) == 2 * spec.frames
+        assert synthetic._background.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("pattern", ["static", "zigzag"])
+    def test_direct_render_equals_generated_frame(self, tmp_path, pattern):
+        spec = tiny_spec(camera=CameraSpec(pattern=pattern, rot_amp_deg=2.0,
+                                           trans_amp_x=4.0, scale_amp=0.01))
+        gen = generate(spec, tmp_path / "seq")
+        for k in (1, 4):
+            img = render_frame(spec, k, gen.world_to_image[k - 1])
+            assert np.array_equal(img, read_ppm(tmp_path / "seq" / "frames" / f"{k:06d}.ppm"))
+
+    def test_cached_background_is_read_only(self):
+        inverse = np.column_stack([np.eye(2), np.zeros(2)]).tobytes()
+        try:
+            assert not synthetic._background(5, 16, 12, inverse).flags.writeable
+        finally:
+            synthetic._background.cache_clear()
