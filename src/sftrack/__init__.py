@@ -11,7 +11,7 @@ from .errors import ConfigError, NumericalError, ParseError, SFTrackError
 from .metrics import MetricsReport, evaluate
 from .motion import AffineTransform2D, MotionEstimate
 from .synthetic import ScenarioSpec, generate, preset
-from .tracker import FrameResult, Track, Tracker, TrackStatus, run_sequence
+from .tracker import FrameResult, Tracker, run_sequence
 from .types import BoundingBox, Detection, from_cxcyah, iou, to_cxcyah
 
 __version__ = "0.1.0"
@@ -28,9 +28,7 @@ __all__ = [
     "ParseError",
     "SFTrackError",
     "ScenarioSpec",
-    "Track",
     "Tracker",
-    "TrackStatus",
     "TrackerConfig",
     "evaluate",
     "from_cxcyah",

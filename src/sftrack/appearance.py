@@ -271,25 +271,23 @@ class AppearanceMemory:
     :func:`update_embeddings`).
 
     The copy keeps no frame alive. ``histogram`` and ``patch`` are computed
-    from it on first read and kept until the next update; the histogram a
-    second-stage match already computed is taken over instead. The patch is
-    float32: it is the bulk of a track's memory, and similarities are
-    computed from it in float64.
+    from it on first read and then kept. Its crop is never replaced: a new
+    match makes a new memory. The patch is float32: it is the bulk of a
+    track's memory, and similarities are computed from it in float64.
     """
 
     crop: np.ndarray | None = field(default=None, repr=False)
 
-    def update(self, cues: Cues) -> None:
-        # A degenerate crop leaves the previous crop, histogram and patch in
-        # place. The detection's patch is not taken over: at 12 KiB it is
-        # about 20x a typical crop, and most tracks would hold it through
-        # frames in which nothing reads it.
-        if cues.crop is not None:
-            self.crop = cues.crop.copy()
-            self.__dict__.pop("histogram", None)
-            self.__dict__.pop("patch", None)
-            if "histogram" in cues.__dict__:
-                self.__dict__["histogram"] = cues.histogram
+    @classmethod
+    def from_cues(cls, cues: Cues) -> AppearanceMemory:
+        """A memory of ``cues``' crop that takes over the histogram a
+        second-stage match already computed. The detection's patch is not
+        taken over: at 12 KiB it is about 20x a typical crop, and most
+        tracks would hold it through frames in which nothing reads it."""
+        memory = cls(None if cues.crop is None else cues.crop.copy())
+        if "histogram" in cues.__dict__:
+            memory.__dict__["histogram"] = cues.histogram
+        return memory
 
     @cached_property
     def histogram(self) -> np.ndarray | None:

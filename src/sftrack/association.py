@@ -73,8 +73,9 @@ class Columns:
     ``boxes`` are (n, 4) left, top, right, bottom; ``class_ids`` (n,);
     ``embeddings`` (n, D), of which only the rows where ``has_embedding``
     (n,) is set are read. ``cues`` holds each row's crop cues, read for
-    their ``histogram`` and ``patch`` by the second stage: an
-    ``AppearanceMemory`` per track, a ``Cues`` record per detection.
+    their ``histogram`` and ``patch`` by the second stage: the tracker's
+    ``AppearanceMemory`` per row for tracks, a ``Cues`` record per
+    detection.
     """
 
     boxes: np.ndarray

@@ -14,13 +14,19 @@ One frame step runs, in order:
 4. second association of the remainder against low detections (IoU x color
    histogram x scaled MSE, or plain IoU when traditional matching is off),
    then one Kalman update of every track matched in either stage;
-5. unmatched tracks turn Lost and are removed after the grace period;
+5. every unmatched track's miss count grows by one, and a track whose count
+   reaches the grace period is removed;
 6. every unmatched high detection starts a new track;
 7. with low initiation on, an unmatched low detection starts a track when
    its appearance similarity against same-class high detections of this
    frame clears the initiation threshold (the gate is vacuous when the frame
    has no same-class high detection);
-8. matched Lost tracks return to Active with their miss count reset.
+8. every matched track's miss count returns to zero, so a lost track (one
+   with misses) that is matched again is active.
+
+A track is one row of the tracker's columns and nothing else. A frame
+builds new columns and assigns them all at its end, so a frame that raises
+leaves the tracker as it was.
 
 Reported outputs carry the matched detection's box and score, so a perfect
 detector reproduces ground truth exactly.
@@ -28,7 +34,6 @@ detector reproduces ground truth exactly.
 
 from __future__ import annotations
 
-import enum
 import logging
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -41,39 +46,6 @@ from .errors import NumericalError
 from .types import BoundingBox, Detection, box_array, corners, cxcyah
 
 log = logging.getLogger(__name__)
-
-
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    LOST = "lost"
-    REMOVED = "removed"
-
-
-class Track:
-    """An identity-preserving trajectory owned by a single tracker. Its
-    Kalman state, class id and running embedding are rows of the tracker's
-    columns; the track keeps its id, status, miss count and crop memory."""
-
-    def __init__(self, track_id: int, cues: appearance.Cues):
-        self.track_id = track_id
-        self.status = TrackStatus.ACTIVE
-        self.miss_count = 0
-        self.appearance = appearance.AppearanceMemory()
-        self.appearance.update(cues)
-
-    def mark_matched(self, cues: appearance.Cues) -> None:
-        self.status = TrackStatus.ACTIVE
-        self.miss_count = 0
-        self.appearance.update(cues)
-
-    def mark_missed(self, grace_frames: int) -> bool:
-        """Returns True when the track was removed."""
-        self.miss_count += 1
-        if self.miss_count >= grace_frames:
-            self.status = TrackStatus.REMOVED
-            return True
-        self.status = TrackStatus.LOST
-        return False
 
 
 def predicted_boxes(mean: np.ndarray) -> np.ndarray:
@@ -160,8 +132,11 @@ class Tracker:
     computed from the frame pixels instead. With no embeddings at all the
     first association degrades to plain IoU.
 
-    Row i of the stacked Kalman state and of each column (``class_ids``,
-    ``track_embeddings`` and ``has_embedding``) belongs to ``tracks[i]``.
+    Row i of every column is one live track: its id (``track_ids``), its
+    consecutive misses (``miss_counts``; 0 while active, more while lost),
+    its stacked Kalman state (``kalman_state``), its class (``class_ids``),
+    its running embedding (``track_embeddings``, read only where
+    ``has_embedding`` is set) and its crop memory (``memories``).
     """
 
     def __init__(self, config: TrackerConfig | None = None,
@@ -169,18 +144,18 @@ class Tracker:
                  handcrafted_fallback: bool = True):
         self.config = config or TrackerConfig()
         self.embeddings = embeddings
-        self.handcrafted_fallback = handcrafted_fallback
         self._fallback = handcrafted_fallback and embeddings is None
         if embeddings is not None:
             width = len(next(iter(embeddings.values()), ()))
         else:
             width = appearance.FALLBACK_DIM if self._fallback else 0
-        self.tracks: list[Track] = []
+        self.track_ids = np.empty(0, dtype=int)
+        self.miss_counts = np.empty(0, dtype=int)
         self.kalman_state = kalman.initiate(np.empty((0, 4)))
         self.class_ids = np.empty(0, dtype=int)
-        # Running embeddings; a row is read only where has_embedding is set.
         self.track_embeddings = np.empty((0, width))
         self.has_embedding = np.empty(0, dtype=bool)
+        self.memories: list[appearance.AppearanceMemory] = []
         self._next_id = 1
         self._last_frame_index: int | None = None
         # The previous frame's motion_gray image; only motion compensation
@@ -200,7 +175,6 @@ class Tracker:
         diag = FrameDiagnostics()
         cfg = self.config
 
-        use_embeddings = self.embeddings is not None or self.handcrafted_fallback
         # Kept detections split at tau, and their cues in the same order.
         d_high: list[Detection] = []
         d_low: list[Detection] = []
@@ -224,12 +198,10 @@ class Tracker:
         high, low = det_cols.take(slice(0, diag.n_high)), det_cols.take(slice(diag.n_high, None))
 
         # Predict, then compensate camera motion, over the stacked state of
-        # every track. Removed tracks have left self.tracks, so every track
-        # in it is live.
-        live = self.tracks
+        # every live track.
         state = kalman.predict(self.kalman_state)
         gray = motion.motion_gray(image) if cfg.mc_enabled else None
-        if gray is not None and self._prev_gray is not None and live:
+        if gray is not None and self._prev_gray is not None and len(self.track_ids):
             estimate = motion.estimate_camera_motion(self._prev_gray, gray, seed=frame_index)
             diag.motion = estimate
             # A collapsed fit cannot be applied to track states; treat the
@@ -242,15 +214,14 @@ class Tracker:
         boxes = predicted_boxes(state.mean)
         if not np.isfinite(boxes).all():
             raise NumericalError("non-finite predicted track state")
-        diag.predicted_boxes = PredictedBoxes([t.track_id for t in live], boxes)
+        diag.predicted_boxes = PredictedBoxes(self.track_ids.tolist(), boxes)
         track_cols = association.Columns(corners(boxes), self.class_ids, self.track_embeddings,
-                                         self.has_embedding, [t.appearance for t in live])
+                                         self.has_embedding, self.memories)
 
         # First association: all live tracks vs high-confidence detections.
-        cost = association.build_stage_matrix(track_cols, high, "first",
-                                              use_appearance=use_embeddings)
-        diag.used_embeddings = bool(use_embeddings and self.has_embedding.any()
-                                    and high.has_embedding.any())
+        # Without any embedding every cosine is 1, so this is plain IoU.
+        cost = association.build_stage_matrix(track_cols, high, "first")
+        diag.used_embeddings = bool(self.has_embedding.any() and high.has_embedding.any())
         first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
         diag.n_matched_first = len(first.matches)
 
@@ -269,31 +240,29 @@ class Tracker:
                         + [remaining[ti] for ti, _ in second.matches], dtype=int)
         matched = np.array([dj for _, dj in first.matches]
                            + [diag.n_high + dj for _, dj in second.matches], dtype=int)
-        outputs: list[tuple[int, int, BoundingBox, float]] = []
-        for row, j in zip(rows.tolist(), matched.tolist()):
-            track, det = live[row], dets[j]
-            track.mark_matched(det_cues[j])
-            outputs.append((track.track_id, det.class_id, det.box, det.score))
         state[rows] = kalman.update(state[rows], cxcyah(det_boxes[matched]))
         embeddings, has = self.track_embeddings, self.has_embedding
         mix = det_cols.has_embedding[matched]
         if mix.any():
             embeddings, has = appearance.update_embeddings(
                 embeddings, has, rows[mix], det_cols.embeddings[matched[mix]])
+        # A matched track remembers the detection's crop; a detection
+        # without one leaves the track's memory as it was.
+        memories = list(self.memories)
+        for row, j in zip(rows.tolist(), matched.tolist()):
+            if det_cues[j].crop is not None:
+                memories[row] = appearance.AppearanceMemory.from_cues(det_cues[j])
 
-        # Lifecycle for unmatched tracks; removed ones leave the tracker,
-        # with their rows of the state and of every column.
-        removed = [remaining[i] for i in second.unmatched_rows
-                   if live[remaining[i]].mark_missed(cfg.grace_frames)]
-        diag.n_removed = len(removed)
-        tracks = list(live)
-        class_ids = self.class_ids
-        if removed:
-            kept = np.ones(len(live), dtype=bool)
-            kept[removed] = False
-            tracks = [t for t, keep in zip(live, kept.tolist()) if keep]
-            state, class_ids = state[kept], class_ids[kept]
-            embeddings, has = embeddings[kept], has[kept]
+        # Lifecycle: matched tracks have no misses, the others one more, and
+        # a track whose misses reach the grace period leaves with its row of
+        # every column.
+        misses = self.miss_counts + 1
+        misses[rows] = 0
+        kept = misses < cfg.grace_frames
+        diag.n_removed = len(kept) - int(kept.sum())
+        ids, misses, class_ids = self.track_ids[kept], misses[kept], self.class_ids[kept]
+        state, embeddings, has = state[kept], embeddings[kept], has[kept]
+        memories = [m for m, keep in zip(memories, kept.tolist()) if keep]
 
         # New tracks from unmatched high detections, then from unmatched low
         # detections gated on appearance similarity against this frame's
@@ -305,24 +274,26 @@ class Tracker:
             allowed = association.low_init_allowed(low.take(candidates), high, cfg.rho)
             born = born + [diag.n_high + dj for dj, ok in zip(candidates, allowed) if ok]
             diag.n_new_low = len(born) - diag.n_new_high
-        if born:
-            new = kalman.initiate(cxcyah(det_boxes[born]))
-            state = kalman.KalmanState(np.concatenate([state.mean, new.mean]),
-                                       np.concatenate([state.covariance, new.covariance]))
-            class_ids = np.concatenate([class_ids, det_cols.class_ids[born]])
-            embeddings = np.concatenate([embeddings, det_cols.embeddings[born]])
-            has = np.concatenate([has, det_cols.has_embedding[born]])
-        for j in born:
-            track, det = Track(self._next_id, det_cues[j]), dets[j]
-            self._next_id += 1
-            tracks.append(track)
-            outputs.append((track.track_id, det.class_id, det.box, det.score))
+        new_ids = np.arange(self._next_id, self._next_id + len(born))
+        new = kalman.initiate(cxcyah(det_boxes[born]))
+        state = kalman.KalmanState(np.concatenate([state.mean, new.mean]),
+                                   np.concatenate([state.covariance, new.covariance]))
+        ids = np.concatenate([ids, new_ids])
+        misses = np.concatenate([misses, np.zeros(len(born), dtype=int)])
+        class_ids = np.concatenate([class_ids, det_cols.class_ids[born]])
+        embeddings = np.concatenate([embeddings, det_cols.embeddings[born]])
+        has = np.concatenate([has, det_cols.has_embedding[born]])
+        memories += [appearance.AppearanceMemory.from_cues(det_cues[j]) for j in born]
 
+        reported = self.track_ids[rows].tolist() + new_ids.tolist()
+        outputs = [(tid, dets[j].class_id, dets[j].box, dets[j].score)
+                   for tid, j in zip(reported, matched.tolist() + born)]
         outputs.sort(key=lambda o: o[0])
-        # The track list, its stacked state and its columns change together,
-        # so a frame that raises leaves them aligned.
-        self.tracks, self.kalman_state = tracks, state
+        # Commit: every column changes here and nowhere else.
+        self.track_ids, self.miss_counts, self.kalman_state = ids, misses, state
         self.class_ids, self.track_embeddings, self.has_embedding = class_ids, embeddings, has
+        self.memories = memories
+        self._next_id += len(born)
         self._last_frame_index = frame_index
         self._prev_gray = gray
         return FrameResult(frame_index, outputs, diag)
@@ -332,7 +303,7 @@ def run_sequence(frames, detections_by_frame: dict[int, list[Detection]],
                  config: TrackerConfig | None = None,
                  embeddings: dict[tuple[int, int], np.ndarray] | None = None,
                  handcrafted_fallback: bool = True) -> list[FrameResult]:
-    """Track a whole sequence.
+    """Run one tracker over a whole sequence.
 
     ``frames`` yields (frame_index, image) in increasing order. Every frame
     that has detections must appear in ``frames``.

@@ -363,19 +363,10 @@ class TestAppearanceMemory:
         assert has.tolist() == [False, True, False]
         assert not table[[0, 2]].any()
 
-    def test_degenerate_crop_keeps_previous(self):
-        frame = solid(10, 20, 30)
-        mem = ap.AppearanceMemory()
-        mem.update(ap.detection_cues(frame, BoundingBox(0, 0, 8, 8)))
-        before = mem.patch.copy()
-        mem.update(ap.detection_cues(frame, BoundingBox(20, 20, 4, 4)))
-        assert np.array_equal(mem.patch, before)
-
     def test_patch_stored_as_float32(self):
         frame = solid(10, 20, 30)
         cues = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
-        mem = ap.AppearanceMemory()
-        mem.update(cues)
+        mem = ap.AppearanceMemory.from_cues(cues)
         assert cues.patch.dtype == np.float64
         assert mem.patch.dtype == np.float32
         assert np.array_equal(mem.histogram, cues.histogram)
@@ -400,22 +391,30 @@ class TestLazyCues:
         frame = solid(10, 20, 30)
         cues = ap.detection_cues(frame, BoundingBox(0, 0, 4, 4))
         assert np.shares_memory(cues.crop, frame)
-        mem = ap.AppearanceMemory()
-        mem.update(cues)
+        mem = ap.AppearanceMemory.from_cues(cues)
         assert np.array_equal(mem.crop, cues.crop)
         assert not np.shares_memory(mem.crop, frame)
 
-    def test_update_drops_memoised_cues(self):
+    def test_memory_takes_over_only_a_computed_histogram(self, monkeypatch):
         rng = np.random.default_rng(6)
         frame = rng.integers(0, 256, size=(20, 20, 3)).astype(np.uint8)
-        mem = ap.AppearanceMemory()
-        first = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
-        mem.update(first)
-        assert np.array_equal(mem.histogram, first.histogram)
-        second = ap.detection_cues(frame, BoundingBox(10, 10, 8, 8))
-        mem.update(second)
-        assert np.array_equal(mem.histogram, second.histogram)
-        assert np.array_equal(mem.patch, second.patch.astype(np.float32))
+        read = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
+        histogram = read.histogram
+        unread = ap.detection_cues(frame, BoundingBox(10, 10, 8, 8))
+        calls = []
+        real = ap.color_histogram
+        monkeypatch.setattr(ap, "color_histogram", lambda crop: calls.append(1) or real(crop))
+        assert ap.AppearanceMemory.from_cues(read).histogram is histogram
+        assert calls == []
+        mem = ap.AppearanceMemory.from_cues(unread)
+        assert "histogram" not in unread.__dict__
+        assert np.array_equal(mem.histogram, real(unread.crop))
+        assert calls == [1]
+        # The patch is always the memory's own, from its copy of the crop.
+        assert np.array_equal(mem.patch, unread.patch.astype(np.float32))
+        # Without a crop there is nothing to remember.
+        empty = ap.AppearanceMemory.from_cues(ap.detection_cues(frame, BoundingBox(30, 30, 4, 4)))
+        assert empty.crop is None and empty.histogram is None and empty.patch is None
 
 
 class TestDetectionCues:

@@ -23,15 +23,15 @@ def brute_force_min(cost: np.ndarray) -> float:
     return best
 
 
-class _FakeTrack:
-    """One track's predicted box, class id, running embedding and crop
-    memory; ``_track_columns`` stacks them as the tracker does."""
+class _Row:
+    """One track row: its predicted box, class id, running embedding and
+    crop memory; ``_track_columns`` stacks rows as the tracker keeps them."""
 
     def __init__(self, box, class_id=0, embedding=None):
         self.predicted_box = box
         self.class_id = class_id
         self.embedding = embedding
-        self.appearance = AppearanceMemory()
+        self.memory = AppearanceMemory()
 
 
 def _columns(boxes, class_ids, embeddings, cues) -> Columns:
@@ -44,9 +44,9 @@ def _columns(boxes, class_ids, embeddings, cues) -> Columns:
                    np.array([e is not None for e in embeddings], dtype=bool), list(cues))
 
 
-def _track_columns(tracks) -> Columns:
-    return _columns([t.predicted_box for t in tracks], [t.class_id for t in tracks],
-                    [t.embedding for t in tracks], [t.appearance for t in tracks])
+def _track_columns(rows) -> Columns:
+    return _columns([r.predicted_box for r in rows], [r.class_id for r in rows],
+                    [r.embedding for r in rows], [r.memory for r in rows])
 
 
 def _det_columns(dets, cues) -> Columns:
@@ -78,7 +78,7 @@ class TestFuse:
 
     def test_fuse_first(self):
         e_t = np.array([1.0, 0.0])
-        track = _FakeTrack(self.TRACK_BOX, embedding=e_t)
+        track = _Row(self.TRACK_BOX, embedding=e_t)
         same = Detection(1, self.TRACK_BOX, 0.9)
         assert _one_pair("first", track, same, self.FRAME, e_t) == 0.0
         tilted = Detection(1, self.HALF_BOX, 0.9)
@@ -86,18 +86,19 @@ class TestFuse:
                          np.array([0.8, 0.6])) == pytest.approx(1 - 0.4)
 
     def test_fuse_first_without_embedding(self):
-        track = _FakeTrack(self.TRACK_BOX, embedding=np.array([1.0, 0.0]))
+        track = _Row(self.TRACK_BOX, embedding=np.array([1.0, 0.0]))
         det = Detection(1, self.HALF_BOX, 0.9)
         assert _one_pair("first", track, det, self.FRAME) == 0.5
 
     def test_fuse_second(self):
         rng = np.random.default_rng(5)
         frame = rng.integers(0, 256, size=(50, 50, 3)).astype(np.uint8)
-        track = _FakeTrack(self.TRACK_BOX)
-        track.appearance.update(_cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0])
+        track = _Row(self.TRACK_BOX)
+        track.memory = AppearanceMemory.from_cues(
+            _cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0])
         det = Detection(1, self.HALF_BOX, 0.4)
         cues = _cues(frame, [det])[0]
-        mem = track.appearance
+        mem = track.memory
         h = ap.histogram_similarities(mem.histogram[None], cues.histogram[None])[0]
         m = ap.patch_similarities(mem.patch[None], cues.patch[None])[0]
         assert 0.0 < h < 1.0 and 0.0 < m < 1.0
@@ -259,14 +260,14 @@ class TestBuildStageMatrix:
         b = BoundingBox(10, 10, 20, 20)
         e = np.zeros(8)
         e[0] = 1.0
-        track = _FakeTrack(b, class_id=1, embedding=e)
+        track = _Row(b, class_id=1, embedding=e)
         det = Detection(1, b, 0.9, class_id=1)
         cost = _matrix([track], [det], "first", _cues(frame, [det], [e]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_iou_below_gate_forbidden(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
-        track = _FakeTrack(BoundingBox(0, 0, 5, 5), class_id=1)
+        track = _Row(BoundingBox(0, 0, 5, 5), class_id=1)
         det = Detection(1, BoundingBox(40, 40, 5, 5), 0.9, class_id=1)
         cost = _matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
@@ -274,7 +275,7 @@ class TestBuildStageMatrix:
     def test_cross_class_forbidden(self):
         frame = np.full((50, 50, 3), 120, dtype=np.uint8)
         b = BoundingBox(10, 10, 20, 20)
-        track = _FakeTrack(b, class_id=1)
+        track = _Row(b, class_id=1)
         det = Detection(1, b, 0.9, class_id=2)
         cost = _matrix([track], [det], "first", _cues(frame, [det]))
         assert np.isinf(cost[0, 0])
@@ -286,7 +287,7 @@ def _oracle(tracks, detections, cues, stage, use_appearance):
                       corners(box_array([d.box for d in detections])))
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
     for i, track in enumerate(tracks):
-        mem = track.appearance
+        mem = track.memory
         for j, (det, cue) in enumerate(zip(detections, cues)):
             if track.class_id != det.class_id or ious[i, j] < IOU_GATE:
                 continue
@@ -330,11 +331,11 @@ def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance)
     dim = 6
     tracks = []
     for _ in range(rng.integers(0, 7)):
-        track = _FakeTrack(_random_box(rng), class_id=int(rng.integers(0, 2)))
+        track = _Row(_random_box(rng), class_id=int(rng.integers(0, 2)))
         if rng.uniform() < 0.8:
             seen = detection_cues(frame, _random_box(rng),
                                   _random_unit(rng, dim) if rng.uniform() < 0.7 else None)
-            track.appearance.update(seen)
+            track.memory = AppearanceMemory.from_cues(seen)
             track.embedding = seen.embedding
         tracks.append(track)
     detections = [Detection(1, _random_box(rng), float(rng.uniform()),

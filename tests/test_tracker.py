@@ -1,12 +1,11 @@
-import enum
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftrack import appearance, kalman, motion
 from sftrack.config import TrackerConfig
-from sftrack.tracker import Tracker, TrackStatus, run_sequence
+from sftrack.errors import NumericalError
+from sftrack.tracker import Tracker, run_sequence
 from sftrack.types import BoundingBox, Detection, from_cxcyah, to_cxcyah
 
 
@@ -26,6 +25,12 @@ def config(**kwargs):
     base = dict(mc_enabled=False)
     base.update(kwargs)
     return TrackerConfig(**base)
+
+
+def columns(t: Tracker) -> list:
+    """Every per-track column of ``t``; row i of each is one live track."""
+    return [t.track_ids, t.miss_counts, t.kalman_state.mean, t.kalman_state.covariance,
+            t.class_ids, t.track_embeddings, t.has_embedding, t.memories]
 
 
 class TestBasics:
@@ -65,8 +70,8 @@ class TestSecondAssociation:
         r2 = t.step(2, FRAME, [det(2, 51, 40, score=0.4)])
         assert r2.diagnostics.n_matched_second == 1
         assert r2.outputs[0][0] == tid
-        assert t.tracks[0].status is TrackStatus.ACTIVE
-        assert t.tracks[0].miss_count == 0
+        assert t.track_ids.tolist() == [tid]
+        assert t.miss_counts.tolist() == [0]  # active
 
     def test_score_equal_tau_goes_low(self):
         t = Tracker(config())
@@ -89,42 +94,40 @@ class TestLifecycle:
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
         for k in range(2, 6):
             t.step(k, FRAME, [])
-        track = t.tracks[0]
-        assert track.miss_count == 4
-        assert track.status is TrackStatus.LOST
+        assert t.track_ids.tolist() == [1]
+        assert t.miss_counts.tolist() == [4]  # lost
         r = t.step(6, FRAME, [])
-        assert track.status is TrackStatus.REMOVED
         assert r.diagnostics.n_removed == 1
-        assert t.tracks == []
+        # Removed: the id and the row of every column are gone.
+        assert t.track_ids.tolist() == [] and t.miss_counts.tolist() == []
+        assert len(t.kalman_state.mean) == len(t.class_ids) == len(t.memories) == 0
 
     def test_thirty_frame_grace_default(self):
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
         for k in range(2, 31):
             t.step(k, FRAME, [])
-        track = t.tracks[0]
-        assert track.status is TrackStatus.LOST
+        assert t.track_ids.tolist() == [1]
+        assert t.miss_counts.tolist() == [29]  # lost
         t.step(31, FRAME, [])  # 30th consecutive miss
-        assert track.status is TrackStatus.REMOVED
-        assert t.tracks == []
+        assert t.track_ids.tolist() == []
 
     def test_lost_track_rematches_and_resets(self):
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
         t.step(2, FRAME, [])
-        assert t.tracks[0].status is TrackStatus.LOST
+        assert t.miss_counts.tolist() == [1]  # lost
         r = t.step(3, FRAME, [det(3, 50, 40, score=0.9)])
-        assert t.tracks[0].status is TrackStatus.ACTIVE
-        assert t.tracks[0].miss_count == 0
+        assert t.track_ids.tolist() == [1]
+        assert t.miss_counts.tolist() == [0]  # active again
         assert r.outputs[0][0] == 1
 
     def test_ids_never_reused(self):
         cfg = config(grace_frames=1)
         t = Tracker(cfg)
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
-        track = t.tracks[0]
         t.step(2, FRAME, [])  # removed immediately
-        assert track.status is TrackStatus.REMOVED
+        assert t.track_ids.tolist() == []
         r = t.step(3, FRAME, [det(3, 50, 40, score=0.9)])
         assert r.outputs[0][0] == 2
 
@@ -136,7 +139,7 @@ class TestLifecycle:
         for k in range(1, 201):
             r = t.step(k, FRAME, [det(k, 10 + 40 * (k % 3), 40, score=0.9)])
             seen += [o[0] for o in r.outputs]
-            assert len(t.tracks) == 1
+            assert t.track_ids.tolist() == [k]
         assert seen == list(range(1, 201))
 
     def test_outputs_only_matched_tracks(self):
@@ -146,6 +149,50 @@ class TestLifecycle:
         assert r.outputs == []
 
 
+class TestFailedFrame:
+    """A frame that raises after association leaves the tracker exactly as
+    the previous frame left it."""
+
+    @staticmethod
+    def snapshot(t: Tracker) -> tuple:
+        arrays = [np.array(c, copy=True) for c in columns(t)[:-1]]
+        crops = [m.crop.copy() for m in t.memories]
+        return arrays, crops, (t._next_id, t._last_frame_index)
+
+    @pytest.mark.parametrize("fails, at", [
+        # The lost track is matched again when the update raises.
+        ("update", (52, 40)),
+        # The track misses again and a far detection is born when the
+        # initiation raises.
+        ("initiate", (120, 90)),
+    ], ids=["update", "initiate"])
+    def test_failed_frame_changes_nothing(self, monkeypatch, fails, at):
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40)])
+        t.step(2, FRAME, [])
+        assert t.miss_counts.tolist() == [1]
+        arrays, crops, counters = self.snapshot(t)
+
+        def raises(*args):
+            raise NumericalError("singular innovation covariance")
+
+        monkeypatch.setattr(kalman, fails, raises)
+        with pytest.raises(NumericalError):
+            t.step(3, FRAME, [det(3, *at)])
+        got_arrays, got_crops, got_counters = self.snapshot(t)
+        for got, want in zip(got_arrays, arrays, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(got_crops) == 1 and np.array_equal(got_crops[0], crops[0])
+        assert got_counters == counters
+        # The next frame runs as if the failed one had never been fed.
+        monkeypatch.undo()
+        fresh = Tracker(config())
+        fresh.step(1, FRAME, [det(1, 50, 40)])
+        fresh.step(2, FRAME, [])
+        later = [det(4, *at)]
+        assert t.step(4, FRAME, later).outputs == fresh.step(4, FRAME, later).outputs
+
+
 class TestLowInitiation:
     def test_disabled_all_low_scene_yields_nothing(self):
         cfg = config(low_init_enabled=False)
@@ -153,7 +200,7 @@ class TestLowInitiation:
         for k in range(1, 6):
             r = t.step(k, FRAME, [det(k, 50, 40, score=0.5)])
             assert r.outputs == []
-        assert t.tracks == []
+        assert t.track_ids.tolist() == []
 
     def test_enabled_all_low_scene_tracks(self):
         cfg = config(low_init_enabled=True)
@@ -252,8 +299,6 @@ def held_arrays(obj, seen=None) -> list[np.ndarray]:
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
         return [obj]
-    if isinstance(obj, enum.Enum):
-        return []
     if isinstance(obj, dict):
         children = list(obj.values())
     elif isinstance(obj, (list, tuple, set)):
@@ -264,6 +309,19 @@ def held_arrays(obj, seen=None) -> list[np.ndarray]:
 
 
 class TestMemory:
+    def test_degenerate_crop_keeps_the_rows_memory(self):
+        # The second detection lies just past the image's right edge: it has
+        # no crop, but it overlaps the track's box and matches in stage 1.
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 150, 40)])
+        memory = t.memories[0]
+        patch = memory.patch.copy()
+        r = t.step(2, FRAME, [det(2, 160.4, 40)])
+        assert r.diagnostics.n_matched_first == 1 and r.outputs[0][0] == 1
+        assert t.memories[0] is memory
+        assert np.array_equal(memory.crop, FRAME[40:60, 150:160])
+        assert np.array_equal(memory.patch, patch)
+
     def test_no_previous_frame_without_motion_compensation(self):
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40, score=0.9)])
@@ -334,7 +392,7 @@ class TestLazyCues:
         t = Tracker(config())
         for k in range(1, 6):
             t.step(k, FRAME, [det(k, 40 + k, 30), det(k, 100, 70, score=0.95)])
-        assert len(t.tracks) == 2
+        assert len(t.track_ids) == 2
         assert calls == {"resize_bilinear": 0, "color_histogram": 0}
 
     def test_iou_only_second_stage_computes_no_cue(self, monkeypatch):
@@ -370,7 +428,7 @@ class TestLazyCues:
             assert r.diagnostics.n_matched_second == 1
             assert calls == {"resize_bilinear": 2, "color_histogram": 2 if k == 2 else 1}
             calls.update(resize_bilinear=0, color_histogram=0)
-        memory = t.tracks[0].appearance
+        memory = t.memories[0]
         crop = FRAME[40:60, 54:74]
         assert np.array_equal(memory.crop, crop)
         monkeypatch.undo()
@@ -444,7 +502,8 @@ class TestStackedKalmanBookkeeping:
                 misses[tid] += 1
                 if misses[tid] == 2:
                     del ref[tid]
-            assert [tr.track_id for tr in t.tracks] == sorted(ref)
+            assert t.track_ids.tolist() == sorted(ref), f"frame {k}"
+            assert t.miss_counts.tolist() == [misses[i] for i in sorted(ref)], f"frame {k}"
         assert events == [(0, 0, 4, 0), (2, 1, 0, 0), (2, 0, 0, 0), (2, 0, 1, 2),
                           (2, 0, 1, 0), (2, 1, 1, 1), (4, 0, 0, 0)]
 
@@ -502,7 +561,7 @@ class TestEmbeddingTable:
                 j = next(j for j, x in enumerate(dets) if x.box is box)
                 ref[tid] = update_embedding(ref.get(tid), table.get((k, j)))
                 classes.setdefault(tid, cls)
-            ids = [tr.track_id for tr in t.tracks]
+            ids = t.track_ids.tolist()
             assert t.track_embeddings.shape == (len(ids), self.DIM), f"frame {k}"
             assert t.class_ids.tolist() == [classes[i] for i in ids], f"frame {k}"
             assert t.has_embedding.tolist() == [ref[i] is not None for i in ids], f"frame {k}"
@@ -547,8 +606,6 @@ class TestPredictedBoxes:
             boxes[3] = BoundingBox(0, 0, 1, 1)
 
     def test_non_finite_prediction_is_a_numerical_error(self, monkeypatch):
-        from sftrack.errors import NumericalError
-
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40)])
         real = kalman.predict
@@ -561,8 +618,8 @@ class TestPredictedBoxes:
         monkeypatch.setattr(kalman, "predict", broken)
         with pytest.raises(NumericalError, match="non-finite"):
             t.step(2, FRAME, [det(2, 52, 40)])
-        # The failed frame left the track list and its rows aligned.
-        assert len(t.tracks) == len(t.class_ids) == len(t.kalman_state.mean) == 1
+        # The failed frame left every column with the same one row.
+        assert {len(c) for c in columns(t)} == {1}
 
 
 class TestByteEquivalence:
