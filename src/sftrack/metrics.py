@@ -1,11 +1,14 @@
 """CLEAR and identity metrics: MOTA, FP/FN/ID switches, IDF1, MT/ML.
 
 Frame-level correspondences follow the CLEAR protocol: matches persist from
-the previous frame while overlap holds, remaining pairs are matched by the
-Hungarian algorithm on IoU (threshold 0.5 by default), and an ID switch is
-counted when a ground-truth object is matched to a hypothesis id that
-differs from the last one it was matched with. IDF1 uses the optimal global
-one-to-one trajectory assignment.
+the previous frame while overlap holds (box areas width x height, as in
+``types.iou``), remaining pairs are matched by the Hungarian algorithm on
+IoU (areas from the corners, as in ``types.iou_matrix``; threshold 0.5 by
+default), and an ID switch is counted when a ground-truth object is matched
+to a hypothesis id that differs from the last one it was matched with. IDF1
+uses the optimal global one-to-one trajectory assignment, the most total
+overlap on the gt-id x hyp-id matrix of frames a pair overlaps in; its IDTP
+is that of the (gt ids + hyp ids)^2 identity-cost form, never built.
 
 MOTA = (1 - (FP + FN + IDs) / GT) x 100, where GT counts ground-truth
 object instances over all frames; it can be negative.
@@ -15,19 +18,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .association import FORBIDDEN, hungarian
 from .io_formats import AnnotatedBox
-from .types import BoundingBox, box_array, corners, iou, iou_matrix
+from .types import box_array, box_iou_pairs, corners, iou_matrix, iou_pairs, overlapping_pairs
 
 FrameBoxes = dict[int, list[AnnotatedBox]]
-
-
-def _iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
-    return iou_matrix(corners(box_array(rows)), corners(box_array(cols)))
+_OBJ_ID = attrgetter("obj_id")
+_BOX = attrgetter("box")
+_LTWH = attrgetter("left", "top", "width", "height")
 
 
 def remove_ignored(gt: FrameBoxes, hyp: FrameBoxes,
@@ -42,10 +46,58 @@ def remove_ignored(gt: FrameBoxes, hyp: FrameBoxes,
         if not regions:
             hyp_clean[frame] = list(rows)
             continue
-        ious = _iou_matrix([r.box for r in rows], regions)
+        ious = iou_matrix(corners(box_array([r.box for r in rows])), corners(box_array(regions)))
         keep = ious.max(axis=1) < iou_threshold if rows else np.zeros(0)
         hyp_clean[frame] = [r for r, k in zip(rows, keep) if k]
     return gt_clean, hyp_clean
+
+
+@dataclass
+class _Side:
+    """One side's rows of ``frames`` in frame order, as columns: frame k's
+    rows are ``offsets[k]:offsets[k + 1]``; per row, ``frame`` is k, ``box``
+    is left, top, width, height, and ``index`` is its id's place in ``ids``."""
+
+    offsets: np.ndarray
+    frame: np.ndarray
+    box: np.ndarray
+    ids: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, boxes: FrameBoxes, frames: list[int]) -> "_Side":
+        counts = [len(boxes.get(f, ())) for f in frames]
+        rows = [r for f in frames for r in boxes.get(f, ())]
+        ltwh = np.fromiter(chain.from_iterable(map(_LTWH, map(_BOX, rows))), float, 4 * len(rows))
+        ids, index = np.unique(np.fromiter(map(_OBJ_ID, rows), np.int64, len(rows)),
+                               return_inverse=True)
+        return cls(np.cumsum([0] + counts), np.repeat(np.arange(len(frames)), counts),
+                   ltwh.reshape(-1, 4), ids, index)
+
+
+@dataclass
+class _Pairs:
+    """Both sides, and each same-frame (gt row, hyp row) pair of boxes that
+    overlap, frame by frame, with its ``types.iou_matrix`` value; every
+    other pair has IoU 0."""
+
+    frames: list[int]
+    gt: _Side
+    hyp: _Side
+    rows: np.ndarray
+    cols: np.ndarray
+    iou: np.ndarray
+
+    @classmethod
+    def of(cls, gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float) -> "_Pairs":
+        # Only a positive threshold rejects every pair left out.
+        if not iou_threshold > 0.0:
+            raise ValueError(f"iou_threshold must be positive, got {iou_threshold}")
+        frames = sorted(set(gt) | set(hyp))
+        g, h = _Side.of(gt, frames), _Side.of(hyp, frames)
+        g_corners, h_corners = corners(g.box), corners(h.box)
+        rows, cols = overlapping_pairs(g_corners, g.frame, h_corners, h.frame)
+        return cls(frames, g, h, rows, cols, iou_pairs(g_corners[rows], h_corners[cols]))
 
 
 def _check_unique_ids(rows: list[AnnotatedBox], frame: int, what: str) -> None:
@@ -69,48 +121,51 @@ class ClearResult:
 
 def clear_match(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> ClearResult:
     """Frame-by-frame CLEAR correspondence and event counting."""
-    result = ClearResult()
-    last_hyp_for_gt: dict[int, int] = {}
-    prev_matches: dict[int, int] = {}
-    frames = sorted(set(gt) | set(hyp))
-    for frame in frames:
-        gt_rows = gt.get(frame, [])
-        hyp_rows = hyp.get(frame, [])
-        _check_unique_ids(gt_rows, frame, "ground-truth")
-        _check_unique_ids(hyp_rows, frame, "hypothesis")
-        result.gt_total += len(gt_rows)
-        result.hyp_total += len(hyp_rows)
-        gt_by_id = {r.obj_id: r for r in gt_rows}
-        hyp_by_id = {r.obj_id: r for r in hyp_rows}
-
-        matches: dict[int, int] = {}
+    p = _Pairs.of(gt, hyp, iou_threshold)
+    g, h = p.gt, p.hyp
+    keys = [np.sort(x.frame * len(x.ids) + x.index) for x in (g, h)]  # one per (frame, id)
+    if any((k[1:] == k[:-1]).any() for k in keys):
+        for frame in p.frames:
+            _check_unique_ids(gt.get(frame, []), frame, "ground-truth")
+            _check_unique_ids(hyp.get(frame, []), frame, "hypothesis")
+    result = ClearResult(gt_total=len(g.frame), hyp_total=len(h.frame))
+    # The pairs that may persist, and the ones the Hungarian step may match.
+    rows, cols, cost = p.rows, p.cols, 1.0 - p.iou
+    held = box_iou_pairs(g.box[rows], h.box[cols]) >= iou_threshold
+    fresh = p.iou >= iou_threshold
+    pg, ph = g.index[rows], h.index[cols]
+    bounds = np.searchsorted(g.frame[rows], np.arange(len(p.frames) + 1)).tolist()
+    g_off, h_off = g.offsets.tolist(), h.offsets.tolist()
+    # By id index: each gt id's hyp in the last frame and its last hyp at all
+    # (-1 for none), and whether the id is matched in this frame so far.
+    prev_hyp, last_hyp = np.full(len(g.ids), -1), np.full(len(g.ids), -1)
+    taken_g, taken_h = np.zeros(len(g.ids), bool), np.zeros(len(h.ids), bool)
+    mg = np.empty(0, dtype=int)
+    for k, frame in enumerate(p.frames):
+        s = slice(bounds[k], bounds[k + 1])
         # Keep last frame's pairs while they still overlap.
-        for g_id, h_id in prev_matches.items():
-            g = gt_by_id.get(g_id)
-            h = hyp_by_id.get(h_id)
-            if g is not None and h is not None and iou(g.box, h.box) >= iou_threshold:
-                matches[g_id] = h_id
+        persist = held[s] & (prev_hyp[pg[s]] == ph[s])
+        prev_hyp[mg] = -1
+        mg, mh = pg[s][persist], ph[s][persist]
+        taken_g[mg], taken_h[mh] = True, True
+        new = fresh[s] & ~taken_g[pg[s]] & ~taken_h[ph[s]]
+        if new.any():
+            free_g = np.flatnonzero(~taken_g[g.index[g_off[k]:g_off[k + 1]]])
+            free_h = np.flatnonzero(~taken_h[h.index[h_off[k]:h_off[k + 1]]])
+            matrix = np.full((len(free_g), len(free_h)), FORBIDDEN)
+            matrix[np.searchsorted(free_g, rows[s][new] - g_off[k]),
+                   np.searchsorted(free_h, cols[s][new] - h_off[k])] = cost[s][new]
+            m = np.array(hungarian(matrix).matches, dtype=int).reshape(-1, 2)
+            mg = np.concatenate([mg, g.index[g_off[k] + free_g[m[:, 0]]]])
+            mh = np.concatenate([mh, h.index[h_off[k] + free_h[m[:, 1]]]])
+        taken_g[mg], taken_h[mh] = False, False
 
-        free_gt = [r for r in gt_rows if r.obj_id not in matches]
-        used_hyp = set(matches.values())
-        free_hyp = [r for r in hyp_rows if r.obj_id not in used_hyp]
-        if free_gt and free_hyp:
-            ious = _iou_matrix([r.box for r in free_gt], [r.box for r in free_hyp])
-            cost = np.where(ious >= iou_threshold, 1.0 - ious, FORBIDDEN)
-            assignment = hungarian(cost)
-            for gi, hj in assignment.matches:
-                matches[free_gt[gi].obj_id] = free_hyp[hj].obj_id
-
-        for g_id, h_id in matches.items():
-            prev = last_hyp_for_gt.get(g_id)
-            if prev is not None and prev != h_id:
-                result.ids += 1
-            last_hyp_for_gt[g_id] = h_id
-
-        result.fn += len(gt_rows) - len(matches)
-        result.fp += len(hyp_rows) - len(matches)
-        result.correspondences[frame] = sorted(matches.items())
-        prev_matches = matches
+        before = last_hyp[mg]
+        result.ids += int(np.count_nonzero((before >= 0) & (before != mh)))
+        last_hyp[mg], prev_hyp[mg] = mh, mh
+        result.fn += g_off[k + 1] - g_off[k] - len(mg)
+        result.fp += h_off[k + 1] - h_off[k] - len(mg)
+        result.correspondences[frame] = sorted(zip(g.ids[mg].tolist(), h.ids[mh].tolist()))
     return result
 
 
@@ -137,49 +192,16 @@ def idf1(gt: FrameBoxes, hyp: FrameBoxes, iou_threshold: float = 0.5) -> Idf1Res
     total credit (equivalently minimizes identity FP+FN), and
     IDF1 = 2*IDTP / (gt boxes + hypothesis boxes).
     """
-    gt_len: dict[int, int] = {}
-    hyp_len: dict[int, int] = {}
-    overlap: dict[tuple[int, int], int] = {}
-    frames = sorted(set(gt) | set(hyp))
-    for frame in frames:
-        gt_rows = gt.get(frame, [])
-        hyp_rows = hyp.get(frame, [])
-        for r in gt_rows:
-            gt_len[r.obj_id] = gt_len.get(r.obj_id, 0) + 1
-        for r in hyp_rows:
-            hyp_len[r.obj_id] = hyp_len.get(r.obj_id, 0) + 1
-        if gt_rows and hyp_rows:
-            ious = _iou_matrix([r.box for r in gt_rows], [r.box for r in hyp_rows])
-            for gi, hj in zip(*np.nonzero(ious >= iou_threshold)):
-                key = (gt_rows[gi].obj_id, hyp_rows[hj].obj_id)
-                overlap[key] = overlap.get(key, 0) + 1
-
-    gt_ids = sorted(gt_len)
-    hyp_ids = sorted(hyp_len)
-    gt_total = sum(gt_len.values())
-    hyp_total = sum(hyp_len.values())
-    if not gt_ids or not hyp_ids:
+    p = _Pairs.of(gt, hyp, iou_threshold)
+    gt_total, hyp_total = len(p.gt.frame), len(p.hyp.frame)
+    if not gt_total or not hyp_total:
         return Idf1Result(0.0, 0, gt_total, hyp_total)
-
-    ng, nh = len(gt_ids), len(hyp_ids)
-    size = ng + nh
-    # Identity cost: unmatched gt frames + unmatched hyp frames per pairing;
-    # each trajectory also gets a private "stay unmatched" slot.
-    big = float(gt_total + hyp_total + 1)
-    cost = np.full((size, size), 0.0)
-    cost[:ng, :nh] = np.array([[gt_len[g] + hyp_len[h] - 2 * overlap.get((g, h), 0)
-                                for h in hyp_ids] for g in gt_ids])
-    cost[:ng, nh:] = big
-    cost[ng:, :nh] = big
-    for i, g in enumerate(gt_ids):
-        cost[i, nh + i] = gt_len[g]
-    for j, h in enumerate(hyp_ids):
-        cost[ng + j, j] = hyp_len[h]
-    rows, cols = linear_sum_assignment(cost)
-    idtp = 0
-    for r, c in zip(rows, cols):
-        if r < ng and c < nh:
-            idtp += overlap.get((gt_ids[r], hyp_ids[c]), 0)
+    credited = p.iou >= iou_threshold
+    ng, nh = len(p.gt.ids), len(p.hyp.ids)
+    overlap = np.bincount(p.gt.index[p.rows[credited]] * nh + p.hyp.index[p.cols[credited]],
+                          minlength=ng * nh).reshape(ng, nh)
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    idtp = int(overlap[rows, cols].sum())
     return Idf1Result(2.0 * idtp / (gt_total + hyp_total), idtp, gt_total, hyp_total)
 
 
@@ -188,22 +210,16 @@ def mt_ml(gt: FrameBoxes, correspondences: dict[int, list[tuple[int, int]]],
     """Mostly-tracked / mostly-lost counts. Coverage counts frames where the
     trajectory is matched to any hypothesis, identity-agnostic; both
     boundaries are inclusive."""
-    lifespan: dict[int, int] = {}
-    covered: dict[int, int] = {}
-    for frame, rows in gt.items():
-        matched = {g for g, _ in correspondences.get(frame, [])}
-        for r in rows:
-            lifespan[r.obj_id] = lifespan.get(r.obj_id, 0) + 1
-            if r.obj_id in matched:
-                covered[r.obj_id] = covered.get(r.obj_id, 0) + 1
-    mt = ml = 0
-    for obj_id, span in lifespan.items():
-        coverage = covered.get(obj_id, 0) / span
-        if coverage >= mt_threshold:
-            mt += 1
-        elif coverage <= ml_threshold:
-            ml += 1
-    return mt, ml
+    ids, index = np.unique(np.fromiter(map(_OBJ_ID, chain.from_iterable(gt.values())), np.int64),
+                           return_inverse=True)
+    # Whether each row's id is matched in its frame.
+    covered = np.fromiter(chain.from_iterable(
+        map({g_id for g_id, _ in correspondences.get(f, ())}.__contains__, map(_OBJ_ID, rows))
+        for f, rows in gt.items()), bool, len(index))
+    n = len(ids)
+    coverage = np.bincount(index[covered], minlength=n) / np.bincount(index, minlength=n)
+    mt = coverage >= mt_threshold
+    return int(mt.sum()), int((~mt & (coverage <= ml_threshold)).sum())
 
 
 @dataclass

@@ -24,6 +24,10 @@ One frame step runs, in order:
 8. every matched track's miss count returns to zero, so a lost track (one
    with misses) that is matched again is active.
 
+A call whose frame index skips frames first treats each skipped frame as a
+frame without detections: every track misses it, a track whose misses reach
+the grace period is removed, and the others are predicted across it.
+
 A track is one row of the tracker's columns and nothing else. A frame
 builds new columns and assigns them all at its end, so a frame that raises
 leaves the tracker as it was.
@@ -174,6 +178,25 @@ class Tracker:
                 raise ValueError(f"detection for frame {det.frame} fed to frame {frame_index}")
         diag = FrameDiagnostics()
         cfg = self.config
+        # The live tracks' columns as this frame starts. Frames skipped since
+        # the last call had no detections: every track missed each of them,
+        # one whose misses reach the grace period is gone, and the others
+        # are predicted across them, as stepping those frames would.
+        track_ids, miss_counts, kalman_state = self.track_ids, self.miss_counts, self.kalman_state
+        track_class_ids, track_embeddings = self.class_ids, self.track_embeddings
+        has_embedding, track_memories = self.has_embedding, self.memories
+        skipped = 0 if self._last_frame_index is None else frame_index - self._last_frame_index - 1
+        if skipped:
+            miss_counts = miss_counts + skipped
+            alive = miss_counts < cfg.grace_frames
+            diag.n_removed = len(alive) - int(alive.sum())
+            track_ids, miss_counts = track_ids[alive], miss_counts[alive]
+            kalman_state, track_class_ids = kalman_state[alive], track_class_ids[alive]
+            track_embeddings, has_embedding = track_embeddings[alive], has_embedding[alive]
+            track_memories = [m for m, keep in zip(track_memories, alive.tolist()) if keep]
+            # Rows survive only a gap shorter than the grace period.
+            for _ in range(skipped if len(track_ids) else 0):
+                kalman_state = kalman.predict(kalman_state)
 
         # Kept detections split at tau, and their cues in the same order.
         d_high: list[Detection] = []
@@ -194,14 +217,14 @@ class Tracker:
         diag.n_high, diag.n_low = len(d_high), len(d_low)
         # Rows of the detection columns: the high detections, then the low.
         dets, det_cues = d_high + d_low, c_high + c_low
-        det_boxes, det_cols = _detection_columns(dets, det_cues, self.track_embeddings.shape[1])
+        det_boxes, det_cols = _detection_columns(dets, det_cues, track_embeddings.shape[1])
         high, low = det_cols.take(slice(0, diag.n_high)), det_cols.take(slice(diag.n_high, None))
 
         # Predict, then compensate camera motion, over the stacked state of
         # every live track.
-        state = kalman.predict(self.kalman_state)
+        state = kalman.predict(kalman_state)
         gray = motion.motion_gray(image) if cfg.mc_enabled else None
-        if gray is not None and self._prev_gray is not None and len(self.track_ids):
+        if gray is not None and self._prev_gray is not None and len(track_ids):
             estimate = motion.estimate_camera_motion(self._prev_gray, gray, seed=frame_index)
             diag.motion = estimate
             # A collapsed fit cannot be applied to track states; treat the
@@ -214,14 +237,14 @@ class Tracker:
         boxes = predicted_boxes(state.mean)
         if not np.isfinite(boxes).all():
             raise NumericalError("non-finite predicted track state")
-        diag.predicted_boxes = PredictedBoxes(self.track_ids.tolist(), boxes)
-        track_cols = association.Columns(corners(boxes), self.class_ids, self.track_embeddings,
-                                         self.has_embedding, self.memories)
+        diag.predicted_boxes = PredictedBoxes(track_ids.tolist(), boxes)
+        track_cols = association.Columns(corners(boxes), track_class_ids, track_embeddings,
+                                         has_embedding, track_memories)
 
         # First association: all live tracks vs high-confidence detections.
         # Without any embedding every cosine is 1, so this is plain IoU.
         cost = association.build_stage_matrix(track_cols, high, "first")
-        diag.used_embeddings = bool(self.has_embedding.any() and high.has_embedding.any())
+        diag.used_embeddings = bool(has_embedding.any() and high.has_embedding.any())
         first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
         diag.n_matched_first = len(first.matches)
 
@@ -241,14 +264,14 @@ class Tracker:
         matched = np.array([dj for _, dj in first.matches]
                            + [diag.n_high + dj for _, dj in second.matches], dtype=int)
         state[rows] = kalman.update(state[rows], cxcyah(det_boxes[matched]))
-        embeddings, has = self.track_embeddings, self.has_embedding
+        embeddings, has = track_embeddings, has_embedding
         mix = det_cols.has_embedding[matched]
         if mix.any():
             embeddings, has = appearance.update_embeddings(
                 embeddings, has, rows[mix], det_cols.embeddings[matched[mix]])
         # A matched track remembers the detection's crop; a detection
         # without one leaves the track's memory as it was.
-        memories = list(self.memories)
+        memories = list(track_memories)
         for row, j in zip(rows.tolist(), matched.tolist()):
             if det_cues[j].crop is not None:
                 memories[row] = appearance.AppearanceMemory.from_cues(det_cues[j])
@@ -256,11 +279,11 @@ class Tracker:
         # Lifecycle: matched tracks have no misses, the others one more, and
         # a track whose misses reach the grace period leaves with its row of
         # every column.
-        misses = self.miss_counts + 1
+        misses = miss_counts + 1
         misses[rows] = 0
         kept = misses < cfg.grace_frames
-        diag.n_removed = len(kept) - int(kept.sum())
-        ids, misses, class_ids = self.track_ids[kept], misses[kept], self.class_ids[kept]
+        diag.n_removed += len(kept) - int(kept.sum())
+        ids, misses, class_ids = track_ids[kept], misses[kept], track_class_ids[kept]
         state, embeddings, has = state[kept], embeddings[kept], has[kept]
         memories = [m for m, keep in zip(memories, kept.tolist()) if keep]
 
@@ -285,7 +308,7 @@ class Tracker:
         has = np.concatenate([has, det_cols.has_embedding[born]])
         memories += [appearance.AppearanceMemory.from_cues(det_cues[j]) for j in born]
 
-        reported = self.track_ids[rows].tolist() + new_ids.tolist()
+        reported = track_ids[rows].tolist() + new_ids.tolist()
         outputs = [(tid, dets[j].class_id, dets[j].box, dets[j].score)
                    for tid, j in zip(reported, matched.tolist() + born)]
         outputs.sort(key=lambda o: o[0])

@@ -193,6 +193,53 @@ class TestFailedFrame:
         assert t.step(4, FRAME, later).outputs == fresh.step(4, FRAME, later).outputs
 
 
+class TestFrameGaps:
+    """A call after skipped frames equals stepping each skipped frame with
+    no detections and then the frame itself."""
+
+    @staticmethod
+    def run(frames):
+        t = Tracker(config(grace_frames=5))
+        outputs, removed = [], 0
+        for k, dets in frames:
+            r = t.step(k, FRAME, dets)
+            outputs.append(r.outputs)
+            removed += r.diagnostics.n_removed
+        return t, outputs, removed
+
+    @pytest.mark.parametrize("gap", [2, 3, 4, 5, 9])
+    def test_gap_equals_empty_frames(self, gap):
+        # Two moving targets; the second misses frame 3, so after the gap
+        # the tracks differ in misses, and a long gap removes both.
+        history = [(1, [det(1, 20, 30), det(1, 90, 60)]),
+                   (2, [det(2, 24, 31), det(2, 93, 62)]),
+                   (3, [det(3, 28, 32)])]
+        k = 3 + gap
+        last = (k, [det(k, 28 + 4 * gap, 32 + gap), det(k, 20, 90)])
+        t_gap, out_gap, removed_gap = self.run(history + [last])
+        empty = [(j, []) for j in range(4, k)]
+        t_seq, out_seq, removed_seq = self.run(history + empty + [last])
+        assert out_gap[-1] == out_seq[-1]
+        assert removed_gap == removed_seq
+        for got, want in zip(columns(t_gap)[:-1], columns(t_seq)[:-1], strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert [m.crop.tobytes() for m in t_gap.memories] == [
+            m.crop.tobytes() for m in t_seq.memories]
+        assert t_gap._next_id == t_seq._next_id
+
+    def test_gap_counts_misses_per_frame(self, monkeypatch):
+        t = Tracker(config())
+        t.step(1, FRAME, [det(1, 50, 40)])
+        t.step(10, FRAME, [])
+        assert t.miss_counts.tolist() == [9]
+        predicts = []
+        predict = kalman.predict
+        monkeypatch.setattr(kalman, "predict", lambda s: predicts.append(1) or predict(s))
+        r = t.step(10 ** 6, FRAME, [])
+        assert t.track_ids.tolist() == [] and r.diagnostics.n_removed == 1
+        assert len(predicts) == 1  # no prediction across the gap once every track is gone
+
+
 class TestLowInitiation:
     def test_disabled_all_low_scene_yields_nothing(self):
         cfg = config(low_init_enabled=False)

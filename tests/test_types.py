@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftrack.types import (BoundingBox, Detection, box_array, corners, cxcyah, from_cxcyah,
-                           iou, iou_matrix, to_cxcyah)
+from sftrack import types
+from sftrack.types import (BoundingBox, Detection, box_array, box_iou_pairs, corners, cxcyah,
+                           from_cxcyah, iou, iou_matrix, iou_pairs, overlapping_pairs, to_cxcyah)
 
 
 def box(l, t, w, h):
@@ -90,6 +91,45 @@ def test_iou_matrix_on_arrays_equals_box_list_kernel_bit_for_bit(rows, cols):
     want = iou_matrix_of_lists(rows, cols)
     assert got.shape == want.shape == (len(rows), len(cols))
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(any_boxes, any_boxes), max_size=8))
+def test_paired_kernels_equal_their_references_bit_for_bit(pairs):
+    a, b = box_array([p[0] for p in pairs]), box_array([p[1] for p in pairs])
+    assert box_iou_pairs(a, b).tolist() == [iou(x, y) for x, y in pairs]
+    matrix = iou_matrix(corners(a), corners(b))
+    assert np.array_equal(iou_pairs(corners(a), corners(b)), matrix.diagonal())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_overlapping_pairs_equal_brute_force(monkeypatch, chunk):
+    # Lattice boxes touch and share edges; chunk sizes split the expansion.
+    monkeypatch.setattr(types, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n_a, n_b = rng.integers(0, 25, size=2)
+        a = corners(np.column_stack([rng.integers(0, 8, (n_a, 2)) * 5,
+                                     rng.integers(0, 4, (n_a, 2)) * 5]).astype(float))
+        b = corners(np.column_stack([rng.integers(0, 8, (n_b, 2)) * 5 + rng.uniform(0, 1, (n_b, 2)),
+                                     rng.integers(0, 4, (n_b, 2)) * 5]).astype(float))
+        group_a, group_b = np.sort(rng.integers(0, 3, n_a)), np.sort(rng.integers(0, 3, n_b))
+        i, j = overlapping_pairs(a, group_a, b, group_b)
+        assert np.all(np.diff(i) >= 0)
+        ix = np.minimum(a[:, None, 2], b[None, :, 2]) > np.maximum(a[:, None, 0], b[None, :, 0])
+        iy = np.minimum(a[:, None, 3], b[None, :, 3]) > np.maximum(a[:, None, 1], b[None, :, 1])
+        want = np.nonzero(ix & iy & (group_a[:, None] == group_b[None, :]))
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(*(w.tolist() for w in want)))
+        assert np.all(iou_matrix(a, b)[np.logical_not(ix & iy)] == 0.0)
+
+
+def test_paired_kernels_differ_in_area():
+    # Same boxes: width x height and (right - left) x (bottom - top) round
+    # differently, which moves the IoU across 0.5 in the last bit.
+    a = box_array([box(13.51, 72.15, 10.98, 6.89)])
+    b = box_array([box(17.17, 72.15, 10.98, 6.89)])
+    assert box_iou_pairs(a, b)[0] == 0.5000000000000001
+    assert iou_pairs(corners(a), corners(b))[0] == 0.4999999999999998
 
 
 @settings(max_examples=200)
