@@ -1,21 +1,32 @@
 """Camera motion estimation and ratio-preserving track compensation.
 
 Each frame is reduced once to a downscaled gray image (``motion_gray``),
-which serves both frame pairs it belongs to. Per frame pair, corner features
-are detected on the previous frame (minimum-eigenvalue response), tracked to
-the current frame with one forward pass of pyramidal Lucas-Kanade, and a
-RANSAC affine fit, the only outlier filter, recovers the global transform. Before it touches any track the
-transform is re-scaled to use one uniform scale factor, the larger of its x/y
-factors, so box aspect ratios survive compensation unchanged.
+which serves both frame pairs it belongs to. Per frame pair:
+
+- corner features are detected on the previous frame (minimum-eigenvalue
+  response) and thinned by greedy suppression in rank order, decided in
+  array rounds over the pairs of candidates closer than ``min_distance``;
+- they are tracked to the current frame with one forward pass of pyramidal
+  Lucas-Kanade, whose window gradients are taken from the sampled template
+  window itself (Bouguet's form);
+- a RANSAC affine fit, the only outlier filter, recovers the global
+  transform, drawing samples until an all-inlier sample has been drawn with
+  probability ``RANSAC_CONFIDENCE`` (the adaptive stop).
+
+Before it touches any track the transform is re-scaled to use one uniform
+scale factor, the larger of its x/y factors, so box aspect ratios survive
+compensation unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .kalman import KalmanState
 
@@ -32,9 +43,14 @@ LK_MAX_ITERATIONS = 30
 LK_EPSILON = 0.01
 LK_MAX_RESIDUAL = 25.0
 LK_MIN_EIG = 1e-3
-# RANSAC sample count and inlier reprojection error in px.
+# Offsets of a window's samples from its centre, and their indices.
+_WINDOW_STEPS = np.arange(-(LK_WINDOW // 2), LK_WINDOW // 2 + 1, dtype=float)
+_WINDOW_INDEX = np.arange(LK_WINDOW)
+# RANSAC: most samples drawn, inlier reprojection error in px, and the
+# probability of drawing an all-inlier sample the adaptive stop aims for.
 RANSAC_ITERATIONS = 100
 RANSAC_INLIER_THRESHOLD = 3.0
+RANSAC_CONFIDENCE = 0.99
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +157,18 @@ def detect_features(image: np.ndarray, max_count: int = 200, quality: float = 0.
     """Corner points (x, y) of a 2-D gray image, ranked by minimum-eigenvalue
     response.
 
-    No two returned points are closer than ``min_distance``; at most
+    No two returned points are closer than ``min_distance``: greedy
+    suppression in rank order keeps a corner unless a kept, better-ranked
+    corner lies closer, decided on arrays (``_suppress``). At most
     ``max_count`` points come back. A flat image yields an empty array.
     """
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D gray image, got shape {image.shape}")
     if image.size == 0:
         raise ValueError("empty image")
+    if min_distance < 0 or max_count < 1:
+        raise ValueError(f"need min_distance >= 0 and max_count >= 1, "
+                         f"got {min_distance} and {max_count}")
     img = image.astype(np.float64)
     gx = ndimage.sobel(img, axis=1, mode="nearest") / 8.0
     gy = ndimage.sobel(img, axis=0, mode="nearest") / 8.0
@@ -164,40 +185,74 @@ def detect_features(image: np.ndarray, max_count: int = 200, quality: float = 0.
     peak = float(response.max(initial=0.0, where=mask)) if mask.any() else 0.0
     if peak <= 0.0:
         return np.empty((0, 2))
-    local_max = response == ndimage.maximum_filter(response, size=3, mode="nearest")
+    local_max = response == _max3x3(response)
     candidate = mask & local_max & (response >= quality * peak)
     ys, xs = np.nonzero(candidate)
     if xs.size == 0:
         return np.empty((0, 2))
     order = np.argsort(-response[ys, xs], kind="stable")
-    xs, ys = xs[order], ys[order]
+    ranked = np.column_stack([xs[order], ys[order]])
+    return ranked[_suppress(ranked, min_distance, max_count)].astype(float)
 
-    # Greedy suppression in response order; a cell grid of size min_distance
-    # keeps the neighbor checks local.
-    selected: list[tuple[float, float]] = []
-    cell = max(min_distance, 1.0)
-    buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    min_d2 = min_distance * min_distance
-    for x, y in zip(xs, ys):
-        cx, cy = int(x / cell), int(y / cell)
-        ok = True
-        for bx in (cx - 1, cx, cx + 1):
-            for by in (cy - 1, cy, cy + 1):
-                for sx_, sy_ in buckets.get((bx, by), ()):
-                    dx, dy = x - sx_, y - sy_
-                    if dx * dx + dy * dy < min_d2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            selected.append((float(x), float(y)))
-            buckets.setdefault((cx, cy), []).append((float(x), float(y)))
-            if len(selected) >= max_count:
-                break
-    return np.array(selected, dtype=float) if selected else np.empty((0, 2))
+
+def _max3x3(a: np.ndarray) -> np.ndarray:
+    """Maximum over each pixel's 3x3 neighbourhood, edges replicated: on
+    finite input ``ndimage.maximum_filter(a, 3, mode="nearest")``, as two
+    in-place passes of ``np.maximum`` (a maximum is exact in any order)."""
+    rows = a.copy()
+    np.maximum(rows[:, 1:], a[:, :-1], out=rows[:, 1:])
+    np.maximum(rows[:, :-1], a[:, 1:], out=rows[:, :-1])
+    out = rows.copy()
+    np.maximum(out[1:], rows[:-1], out=out[1:])
+    np.maximum(out[:-1], rows[1:], out=out[:-1])
+    return out
+
+
+def _suppress(ranked: np.ndarray, min_distance: float, max_count: int) -> np.ndarray:
+    """Rows of integer points ``ranked`` (best first) that greedy suppression
+    keeps, at most ``max_count`` of them.
+
+    Greedy suppression keeps a point when no kept point ranked before it is
+    closer than ``min_distance`` (squared distance strictly below
+    ``min_distance**2``). A point's fate depends only on the points ranked
+    before it, so the first ``max_count`` kept points of a prefix of the
+    ranking are those of the whole ranking: the prefix doubles until it
+    yields ``max_count`` points or covers the ranking.
+    """
+    size = min(len(ranked), 2 * max_count)
+    while True:
+        kept = np.flatnonzero(_independent_set(ranked[:size], min_distance))
+        if kept.size >= max_count or size == len(ranked):
+            return kept[:max_count]
+        size = min(len(ranked), 2 * size)
+
+
+def _independent_set(ranked: np.ndarray, min_distance: float) -> np.ndarray:
+    """Greedy-by-rank keep mask of integer points, decided in array rounds.
+
+    Each round drops every undecided point with a kept neighbour ranked
+    before it, then keeps every undecided point whose earlier neighbours are
+    all dropped; the best undecided point is always decided, so the rounds
+    end.
+    """
+    n = len(ranked)
+    # The tree's radius is padded so that rounding in its distance test
+    # cannot lose a pair; the exact integer test follows.
+    pairs = cKDTree(ranked).query_pairs(min_distance * (1 + 1e-9), output_type="ndarray")
+    gap = ranked[pairs[:, 0]] - ranked[pairs[:, 1]]
+    close = (gap * gap).sum(axis=1) < min_distance * min_distance
+    earlier, later = pairs[close].T  # query_pairs gives earlier < later
+    undecided, kept = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    while undecided.any():
+        undecided[later[kept[earlier]]] = False
+        live = undecided[later]
+        earlier, later = earlier[live], later[live]
+        blocked = np.zeros(n, dtype=bool)
+        blocked[later[undecided[earlier]]] = True
+        new = undecided & ~blocked
+        kept |= new
+        undecided &= ~new
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +262,11 @@ def _pyramid(img: np.ndarray) -> list[np.ndarray]:
     kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
     pyr = [img.astype(np.float64)]
     for _ in range(LK_LEVELS - 1):
-        blurred = ndimage.convolve1d(pyr[-1], kernel, axis=0, mode="nearest")
+        # The row pass (axis 1) filters each row on its own, so it runs on
+        # the kept rows only.
+        blurred = ndimage.convolve1d(pyr[-1], kernel, axis=0, mode="nearest")[::2]
         blurred = ndimage.convolve1d(blurred, kernel, axis=1, mode="nearest")
-        pyr.append(blurred[::2, ::2])
+        pyr.append(blurred[:, ::2])
     return pyr
 
 
@@ -226,17 +283,28 @@ def _sample_windows(img: np.ndarray, centers: np.ndarray) -> np.ndarray:
     column (row) of a window whose center lies within 0.001 px of the upper
     margin.
     """
+    # Most calls come from LK iterations on a few points, so the fixed
+    # cost counts: plain ufuncs for the clip, and as_strided for
+    # sliding_window_view without its argument checks (indexing the view
+    # checks the bounds).
     h, w = img.shape
-    radius = LK_WINDOW // 2
-    steps = np.arange(-radius, radius + 1, dtype=float)
-    px = np.clip(centers[:, 0:1] + steps, 0.0, w - 1.001)  # (N, W) per column
-    py = np.clip(centers[:, 1:2] + steps, 0.0, h - 1.001)  # (N, W) per row
+    px = np.minimum(np.maximum(centers[:, 0:1] + _WINDOW_STEPS, 0.0), w - 1.001)  # (N, W)
+    py = np.minimum(np.maximum(centers[:, 1:2] + _WINDOW_STEPS, 0.0), h - 1.001)
     x0 = px[:, 0].astype(int)
     y0 = py[:, 0].astype(int)
     # Weights relative to the block's columns x0 + j and rows y0 + i.
-    fx = (px - (x0[:, None] + np.arange(LK_WINDOW)))[:, None, :]
-    fy = (py - (y0[:, None] + np.arange(LK_WINDOW)))[:, :, None]
-    block = sliding_window_view(img, (LK_WINDOW + 1, LK_WINDOW + 1))[y0, x0]
+    fx = (px - (x0[:, None] + _WINDOW_INDEX))[:, None, :]
+    fy = (py - (y0[:, None] + _WINDOW_INDEX))[:, :, None]
+    # Whole-pixel centres: the weights are exactly 1 and 0, and the blend
+    # b * 1 + b' * 0 is b bit for bit on finite pixels other than -0.0, so
+    # the window is its W x W block.
+    whole = not (fx.any() or fy.any())
+    side = LK_WINDOW if whole else LK_WINDOW + 1
+    sy, sx = img.strides
+    block = as_strided(img, (h - side + 1, w - side + 1, side, side), (sy, sx, sy, sx),
+                       writeable=False)[y0, x0]
+    if whole:
+        return block
     rows = block[:, :, :-1] * (1 - fx)
     rows += block[:, :, 1:] * fx
     out = rows[:, :-1] * (1 - fy)
@@ -247,6 +315,11 @@ def _sample_windows(img: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def track_features(prev: np.ndarray, cur: np.ndarray,
                    points: np.ndarray) -> FeatureTrackResult:
     """Pyramidal coarse-to-fine Lucas-Kanade refinement of sparse points.
+
+    At each level a point's 21x21 template window is sampled once from the
+    previous frame; its x and y gradients are ``np.gradient`` of that window
+    (central differences inside it, one-sided on its border), as in
+    Bouguet's pyramidal LK, not samples of whole-image gradients.
 
     One forward pass; there is no backward re-track, since the RANSAC fit
     that consumes the pairs rejects outliers. Status goes false when the
@@ -271,8 +344,6 @@ def track_features(prev: np.ndarray, cur: np.ndarray,
 
 def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    grads = [np.gradient(p) for p in prev_pyr]  # (gy, gx) per level
-
     radius = LK_WINDOW // 2
     n = len(points)
     flow = np.zeros((n, 2))
@@ -283,7 +354,6 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
         scale = 2.0 ** level
         img_p = prev_pyr[level]
         img_c = cur_pyr[level]
-        gy, gx = grads[level]
         h, w = img_p.shape
         pl = points / scale
 
@@ -300,8 +370,9 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
 
         idx = np.nonzero(active)[0]
         tmpl = _sample_windows(img_p, pl[idx])
-        tx = _sample_windows(gx, pl[idx])
-        ty = _sample_windows(gy, pl[idx])
+        # Gradients of the template window itself (Bouguet): central
+        # differences inside it, one-sided on its border.
+        ty, tx = np.gradient(tmpl, axis=(1, 2))
         gxx = (tx * tx).sum(axis=(1, 2))
         gxy = (tx * ty).sum(axis=(1, 2))
         gyy = (ty * ty).sum(axis=(1, 2))
@@ -313,36 +384,45 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
         idx = idx[usable]
         if idx.size == 0:
             continue
-        tmpl, tx, ty = tmpl[usable], tx[usable], ty[usable]
-        gxx, gxy, gyy, det = gxx[usable], gxy[usable], gyy[usable], det[usable]
+        # Per point, the template and its gradients and the gradient
+        # matrix, stacked so that dropping a point is one index.
+        win = np.stack([tmpl, tx, ty], axis=1)
+        coef = np.stack([gxx, gxy, gyy, det], axis=1)
+        if not usable.all():
+            win, coef = win[usable], coef[usable]
 
+        base = pl[idx]
         d = flow[idx] / scale
-        # Per-point arrays of the points still iterating, as rows of idx;
+        upper = np.array([w - margin, h - margin])
+        # Rows of idx still iterating, with their windows and coefficients;
         # converged and lost points drop out.
         k = np.arange(idx.size)
-        for _ in range(LK_MAX_ITERATIONS):
-            pos = pl[idx[k]] + d[k]
-            oob = ((pos[:, 0] < margin) | (pos[:, 0] >= w - margin)
-                   | (pos[:, 1] < margin) | (pos[:, 1] >= h - margin))
+        for it in range(LK_MAX_ITERATIONS):
+            pos = base[k] + d[k]
+            oob = ((pos < margin) | (pos >= upper)).any(axis=1)
             if oob.any():
                 alive[idx[k[oob]]] = False
                 keep = ~oob
-                k, pos, tmpl, tx, ty, gxx, gxy, gyy, det = (
-                    a[keep] for a in (k, pos, tmpl, tx, ty, gxx, gxy, gyy, det))
+                k, pos, win, coef = k[keep], pos[keep], win[keep], coef[keep]
                 if k.size == 0:
                     break
-            win = _sample_windows(img_c, pos)
-            err = tmpl - win
-            bx = (err * tx).sum(axis=(1, 2))
-            by = (err * ty).sum(axis=(1, 2))
+            err = win[:, 0] - _sample_windows(img_c, pos)
+            bx = (err * win[:, 1]).sum(axis=(1, 2))
+            by = (err * win[:, 2]).sum(axis=(1, 2))
+            gxx, gxy, gyy, det = coef.T
             dx = (gyy * bx - gxy * by) / det
             dy = (gxx * by - gxy * bx) / det
             d[k] += np.stack([dx, dy], axis=1)
-            residual[idx[k]] = np.abs(err).mean(axis=(1, 2))
             moving = np.sqrt(dx * dx + dy * dy) >= LK_EPSILON
+            if it == LK_MAX_ITERATIONS - 1:
+                moving[:] = False  # the last iteration stops every point
             if not moving.all():
-                k, tmpl, tx, ty, gxx, gxy, gyy, det = (
-                    a[moving] for a in (k, tmpl, tx, ty, gxx, gxy, gyy, det))
+                if level == 0:
+                    # Only the finest level's residual is read, from the
+                    # iteration where a point stops.
+                    stops = ~moving
+                    residual[idx[k[stops]]] = np.abs(err[stops]).mean(axis=(1, 2))
+                k, win, coef = k[moving], win[moving], coef[moving]
                 if k.size == 0:
                     break
 
@@ -362,6 +442,7 @@ class AffineEstimate:
     transform: AffineTransform2D
     inlier_ratio: float = 0.0
     fallback: bool = False
+    ransac_iterations: int = 0
 
 
 def _fit_affine_lstsq(src: np.ndarray, dst: np.ndarray) -> AffineTransform2D | None:
@@ -380,18 +461,39 @@ def _fit_affine_lstsq(src: np.ndarray, dst: np.ndarray) -> AffineTransform2D | N
     return AffineTransform2D(a, t)
 
 
+def _ransac_limit(inlier_ratio: float) -> int:
+    """Samples that draw at least one all-inlier triple with probability
+    ``RANSAC_CONFIDENCE`` at this inlier ratio, at most ``RANSAC_ITERATIONS``:
+    ceil(log(1 - p) / log(1 - w^3)) (Hartley & Zisserman, section 4.7)."""
+    all_inlier = inlier_ratio ** 3
+    if all_inlier >= 1.0:
+        return 0
+    n = math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-all_inlier))
+    return min(RANSAC_ITERATIONS, n)
+
+
 def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
                     seed: int = 0) -> AffineEstimate:
     """RANSAC + least-squares affine fit from matched point pairs.
 
+    Each iteration fits an affine to 3 random pairs and counts the pairs
+    within ``RANSAC_INLIER_THRESHOLD`` px of it. The sampling stops
+    adaptively: after each new best count, with inlier ratio w, the limit
+    becomes min(``RANSAC_ITERATIONS``, ceil(log(1 - p) / log(1 - w^3))) for
+    p = ``RANSAC_CONFIDENCE``, the number of samples that draw at least one
+    all-inlier triple with probability p. The best sample's inliers are then
+    refit by least squares.
+
     Falls back to the identity (flagged) with fewer than 3 pairs, fewer than
     3 inliers, or all-collinear input. The sampler is seeded, so results are
-    reproducible.
+    reproducible. Point arrays of different lengths raise ``ValueError``.
     """
     src = np.asarray(prev_points, dtype=float).reshape(-1, 2)
     dst = np.asarray(cur_points, dtype=float).reshape(-1, 2)
     n = len(src)
-    if n < 3 or len(dst) != n:
+    if len(dst) != n:
+        raise ValueError(f"point counts differ: {n} vs {len(dst)}")
+    if n < 3:
         return AffineEstimate(AffineTransform2D.identity(), fallback=True)
 
     rng = np.random.default_rng(seed)
@@ -399,7 +501,10 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     best_inliers: np.ndarray | None = None
     src_h = np.column_stack([src, np.ones(n)])
     thr2 = RANSAC_INLIER_THRESHOLD * RANSAC_INLIER_THRESHOLD
-    for _ in range(RANSAC_ITERATIONS):
+    limit = RANSAC_ITERATIONS
+    iterations = 0
+    while iterations < limit:
+        iterations += 1
         pick = rng.choice(n, size=3, replace=False)
         p = src[pick]
         # Degenerate (collinear) minimal samples cannot pin down an affine.
@@ -419,15 +524,16 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
         if count > best_count:
             best_count = count
             best_inliers = inliers
-            if count == n:
-                break
+            limit = min(limit, _ransac_limit(count / n))
 
     if best_inliers is None or best_count < 3:
-        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
+        return AffineEstimate(AffineTransform2D.identity(), fallback=True,
+                              ransac_iterations=iterations)
     fit = _fit_affine_lstsq(src[best_inliers], dst[best_inliers])
     if fit is None:
-        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
-    return AffineEstimate(fit, best_count / n, fallback=False)
+        return AffineEstimate(AffineTransform2D.identity(), fallback=True,
+                              ransac_iterations=iterations)
+    return AffineEstimate(fit, best_count / n, fallback=False, ransac_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +591,17 @@ def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
 
 @dataclass
 class MotionEstimate:
-    """Camera motion between two frames, ready to apply to tracks."""
+    """Camera motion between two frames, ready to apply to tracks, and the
+    health of its estimate: features detected, points tracked, RANSAC
+    inlier ratio and samples drawn, and whether it fell back to the
+    identity."""
 
     transform: AffineTransform2D = field(default_factory=AffineTransform2D.identity)
     inlier_ratio: float = 0.0
     n_features: int = 0
     n_tracked: int = 0
     fallback: bool = True
+    ransac_iterations: int = 0
 
 
 def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
@@ -512,4 +622,5 @@ def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
         n_features=len(points),
         n_tracked=int(tracked.status.sum()),
         fallback=estimate.fallback,
+        ransac_iterations=estimate.ransac_iterations,
     )

@@ -5,10 +5,10 @@ import pytest
 
 from sftrack import kalman, motion, synthetic
 from sftrack.io_formats import load_sequence
-from sftrack.motion import (LK_WINDOW, MC_DOWNSCALE, AffineTransform2D, apply_to_track,
-                            constrain_scale, detect_features, downscale, estimate_affine,
-                            estimate_camera_motion, motion_gray, rgb_to_gray,
-                            track_features)
+from sftrack.motion import (LK_WINDOW, MC_DOWNSCALE, RANSAC_ITERATIONS, AffineTransform2D,
+                            apply_to_track, constrain_scale, detect_features, downscale,
+                            estimate_affine, estimate_camera_motion, motion_gray,
+                            rgb_to_gray, track_features)
 
 
 def textured(shape=(120, 160), seed=0, blur=True):
@@ -97,6 +97,96 @@ class TestDetectFeatures:
         with pytest.raises(ValueError, match="2-D"):
             detect_features(np.zeros((64, 64, 3)))
 
+    @pytest.mark.parametrize("kwargs", [{"min_distance": -1.0}, {"max_count": 0}])
+    def test_invalid_suppression_arguments(self, kwargs):
+        with pytest.raises(ValueError, match="min_distance"):
+            detect_features(textured(seed=2), **kwargs)
+
+
+def _ref_suppress(ranked, min_distance, max_count):
+    """Reference greedy suppression, one candidate at a time in rank order,
+    with a cell grid of side ``min_distance`` for the neighbour checks.
+    Returns the kept rows of ``ranked``."""
+    selected = []
+    cell = max(min_distance, 1.0)
+    buckets = {}
+    min_d2 = min_distance * min_distance
+    for i, (x, y) in enumerate(ranked):
+        cx, cy = int(x / cell), int(y / cell)
+        ok = True
+        for bx in (cx - 1, cx, cx + 1):
+            for by in (cy - 1, cy, cy + 1):
+                for sx_, sy_ in buckets.get((bx, by), ()):
+                    dx, dy = x - sx_, y - sy_
+                    if dx * dx + dy * dy < min_d2:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            selected.append(i)
+            buckets.setdefault((cx, cy), []).append((x, y))
+            if len(selected) >= max_count:
+                break
+    return np.array(selected, dtype=np.intp)
+
+
+def _random_ranking(rng, n, side):
+    """``n`` distinct integer pixels of a ``side`` x ``side`` image, ranked
+    by a response with many ties, as detect_features ranks them."""
+    flat = rng.choice(side * side, size=n, replace=False)
+    ys, xs = np.divmod(flat, side)
+    response = rng.integers(0, 6, size=n).astype(float)  # few levels: ties
+    order = np.argsort(-response, kind="stable")
+    return np.column_stack([xs[order], ys[order]])
+
+
+class TestSuppression:
+    @pytest.mark.parametrize("min_distance", [0.0, 0.5, 1.0, 2.0, 8.0, math.sqrt(50), 13.3])
+    @pytest.mark.parametrize("max_count", [1, 7, 200, 100000])
+    def test_equals_reference_loop(self, min_distance, max_count):
+        rng = np.random.default_rng(int(min_distance * 10) + max_count)
+        for n, side in [(1, 5), (2, 3), (40, 12), (300, 60), (1500, 160), (900, 30)]:
+            ranked = _random_ranking(rng, n, side)
+            got = motion._suppress(ranked, min_distance, max_count)
+            want = _ref_suppress(ranked, min_distance, max_count)
+            assert np.array_equal(got, want), (n, side)
+
+    @pytest.mark.parametrize("side, n_kept", [(150, 200), (120, 151)])
+    def test_crowded_candidates_grow_the_prefix(self, side, n_kept):
+        # The first 2 * max_count candidates keep too few points: the 200th
+        # kept point is ranked past 800, or fewer than 200 are kept at all.
+        ranked = _random_ranking(np.random.default_rng(3), 3000, side)
+        want = _ref_suppress(ranked, 8.0, 200)
+        assert len(want) == n_kept and want[-1] > 4 * 200
+        assert np.array_equal(motion._suppress(ranked, 8.0, 200), want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (7, 9), (240, 320)])
+    def test_local_maximum_equals_ndimage(self, shape):
+        from scipy import ndimage
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for img in (rng.integers(0, 4, size=shape).astype(float),  # plateaus and ties
+                    rng.normal(size=shape)):
+            want = ndimage.maximum_filter(img, size=3, mode="nearest")
+            assert motion._max3x3(img).tobytes() == want.tobytes()
+
+    def test_no_candidates(self):
+        got = motion._suppress(np.empty((0, 2), dtype=np.intp), 8.0, 200)
+        assert got.shape == (0,)
+
+    def test_detect_features_on_fast_camera_frames_equals_reference(self, presets,
+                                                                    monkeypatch):
+        sequence = load_sequence(presets.generation("fast_camera").directory)
+        grays = [motion_gray(sequence.read_frame(k)) for k in range(1, 101, 9)]
+        got = [detect_features(g) for g in grays]
+        monkeypatch.setattr(motion, "_suppress", _ref_suppress)
+        for g, pts in zip(grays, got):
+            want = detect_features(g)
+            assert len(want) == 200
+            assert pts.dtype == want.dtype and pts.tobytes() == want.tobytes()
+
 
 def sample_windows_per_sample(img, centers):
     """Reference window sampler: every sample of every 21x21 window is
@@ -118,9 +208,53 @@ def sample_windows_per_sample(img, centers):
     return top * (1 - fy) + bot * fy
 
 
+def sample_windows_blended(img, centers):
+    """Reference block sampler: every window blended from its (W+1, W+1)
+    block with its centre's weights, including whole-pixel centres whose
+    weights are 1 and 0."""
+    h, w = img.shape
+    radius = LK_WINDOW // 2
+    steps = np.arange(-radius, radius + 1, dtype=float)
+    px = np.clip(centers[:, 0:1] + steps, 0.0, w - 1.001)
+    py = np.clip(centers[:, 1:2] + steps, 0.0, h - 1.001)
+    x0 = px[:, 0].astype(int)
+    y0 = py[:, 0].astype(int)
+    fx = (px - (x0[:, None] + np.arange(LK_WINDOW)))[:, None, :]
+    fy = (py - (y0[:, None] + np.arange(LK_WINDOW)))[:, :, None]
+    block = np.lib.stride_tricks.sliding_window_view(
+        img, (LK_WINDOW + 1, LK_WINDOW + 1))[y0, x0]
+    rows = block[:, :, :-1] * (1 - fx)
+    rows += block[:, :, 1:] * fx
+    out = rows[:, :-1] * (1 - fy)
+    out += rows[:, 1:] * fy
+    return out
+
+
 class TestSampleWindows:
     # Window centers _pyramidal_lk passes in: [margin, side - margin).
     MARGIN = LK_WINDOW // 2 + 1.0
+
+    @pytest.mark.parametrize("shape", [(23, 23), (40, 57), (240, 320)])
+    def test_whole_pixel_centres_equal_the_blend_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        h, w = shape
+        lo = int(self.MARGIN)
+        centers = np.column_stack([rng.integers(lo, w - lo, 200),
+                                   rng.integers(lo, h - lo, 200)]).astype(float)
+        # motion_gray images are quarter steps in [0, 255]; also plain floats.
+        rgb = rng.integers(0, 256, size=(2 * h, 2 * w, 3)).astype(np.uint8)
+        for img in (motion_gray(rgb), rng.uniform(-300.0, 300.0, size=shape)):
+            got = motion._sample_windows(img, centers)
+            want = sample_windows_blended(img, centers)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_fractional_centres_equal_the_blend_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        img = rng.uniform(0.0, 255.0, size=(60, 80))
+        centers = np.column_stack([rng.uniform(11, 69, 50), rng.uniform(11, 49, 50)])
+        centers[0] = (30.0, 20.5)  # one whole-pixel coordinate is not enough
+        got = motion._sample_windows(img, centers)
+        assert got.tobytes() == sample_windows_blended(img, centers).tobytes()
 
     @pytest.mark.parametrize("shape", [(23, 23), (40, 57), (120, 160)])
     def test_block_gather_matches_per_sample_reference(self, shape):
@@ -230,6 +364,8 @@ class TestEstimateAffine:
         assert np.abs(est.transform.linear - true.linear).max() < 1e-3
         assert np.abs(est.transform.translation - true.translation).max() < 1e-3
         assert est.inlier_ratio == pytest.approx(0.8, abs=0.05)
+        # At an inlier ratio of 0.8 the adaptive stop needs 7 samples.
+        assert 7 <= est.ransac_iterations <= RANSAC_ITERATIONS
 
     def test_too_few_pairs_fallback(self):
         est = estimate_affine(np.zeros((2, 2)), np.zeros((2, 2)), seed=1)
@@ -240,6 +376,46 @@ class TestEstimateAffine:
         src = np.array([[float(i), 0.0] for i in range(10)])
         est = estimate_affine(src, src + 1.0, seed=1)
         assert est.fallback
+        assert est.ransac_iterations == RANSAC_ITERATIONS
+
+    @pytest.mark.parametrize("n_cur", [0, 2, 49, 51])
+    def test_mismatched_point_counts_raise(self, n_cur):
+        src = np.random.default_rng(1).uniform(0, 640, size=(50, 2))
+        with pytest.raises(ValueError, match="point counts differ"):
+            estimate_affine(src, np.zeros((n_cur, 2)), seed=1)
+
+    def test_adaptive_stop_on_99_percent_inliers(self):
+        rng = np.random.default_rng(12)
+        src = rng.uniform(0, 640, size=(100, 2))
+        true = AffineTransform2D.similarity(0.97, math.radians(-2.0), (8.0, 5.0))
+        dst = true.apply(src)
+        dst[0] += 40.0  # the one outlier
+        for seed in range(1, 21):
+            est = estimate_affine(src, dst, seed=seed)
+            assert 1 <= est.ransac_iterations <= 3, seed
+            assert est.inlier_ratio == 0.99
+            assert np.abs(est.transform.linear - true.linear).max() < 1e-9
+
+    def test_exact_data_stops_after_one_sample(self):
+        src = np.random.default_rng(13).uniform(0, 640, size=(30, 2))
+        est = estimate_affine(src, src + (2.0, -1.0), seed=4)
+        assert est.ransac_iterations == 1 and est.inlier_ratio == 1.0
+
+    @pytest.mark.parametrize("outlier_share", [0.0, 0.2, 0.5, 0.8, 0.95])
+    def test_iterations_never_exceed_the_cap(self, outlier_share):
+        rng = np.random.default_rng(int(outlier_share * 100))
+        for seed in range(10):
+            src = rng.uniform(0, 640, size=(60, 2))
+            dst = src + (3.0, 1.0)
+            bad = rng.random(60) < outlier_share
+            dst[bad] = rng.uniform(0, 640, size=(int(bad.sum()), 2))
+            est = estimate_affine(src, dst, seed=seed)
+            assert 1 <= est.ransac_iterations <= RANSAC_ITERATIONS
+
+    @pytest.mark.parametrize("ratio, limit", [(1.0, 0), (0.99, 2), (0.8, 7), (0.5, 35),
+                                              (0.1, RANSAC_ITERATIONS)])
+    def test_ransac_limit(self, ratio, limit):
+        assert motion._ransac_limit(ratio) == limit
 
 
 class TestConstrainScale:
@@ -347,6 +523,7 @@ class TestEndToEnd:
         assert est.transform.translation[0] == pytest.approx(6.0, abs=0.25)
         assert abs(est.transform.translation[1]) < 0.25
         assert np.abs(est.transform.linear - np.eye(2)).max() < 0.01
+        assert 1 <= est.ransac_iterations <= RANSAC_ITERATIONS
 
 
 class TestSceneAccuracy:
@@ -355,8 +532,11 @@ class TestSceneAccuracy:
 
         Error of one frame pair is the largest displacement, between the
         estimated and the scripted transform, of the four image corners and
-        the centre. The bounds were fixed before LK's backward re-track was
-        removed, when this read mean 0.263 px and max 0.547 px.
+        the centre. It read mean 0.263 px and max 0.547 px with LK's
+        backward re-track, and 0.266 / 0.557 px after it was removed. Taking
+        LK's gradients from the template window and stopping RANSAC
+        adaptively brought it to 0.244 / 0.531 px; the bounds, 0.30 / 0.60
+        px before, now hold the 0.27 / 0.56 px of the step before that.
         """
         spec = synthetic.preset("fast_camera")
         truth = synthetic.camera_transforms(spec)[0]
@@ -372,5 +552,5 @@ class TestSceneAccuracy:
             diff = est.transform.apply(probes) - truth[k - 1].apply(probes)
             errors.append(float(np.hypot(diff[:, 0], diff[:, 1]).max()))
             prev = cur
-        assert np.mean(errors) <= 0.30, f"mean corner error {np.mean(errors):.3f} px"
-        assert max(errors) <= 0.60, f"max corner error {max(errors):.3f} px"
+        assert np.mean(errors) <= 0.27, f"mean corner error {np.mean(errors):.3f} px"
+        assert max(errors) <= 0.56, f"max corner error {max(errors):.3f} px"

@@ -389,6 +389,7 @@ class TestMemory:
             r = t.step(k, frame, [det(k, 40 - 4 * k, 30), det(k, 100 - 4 * k, 70, score=0.3)])
             if k > 1:
                 assert r.diagnostics.motion is not None
+                assert 1 <= r.diagnostics.motion.ransac_iterations <= motion.RANSAC_ITERATIONS
         last = frames[-1]
         gray = motion.motion_gray(last)
         assert np.array_equal(t._prev_gray, gray)
