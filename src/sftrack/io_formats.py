@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,11 +82,18 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # MOT detection / result rows
 
-def _split_fields(line: str, path, lineno, minimum: int) -> list[str]:
-    parts = [p.strip() for p in line.strip().split(",")]
-    if len(parts) < minimum:
-        raise ParseError(f"expected at least {minimum} comma-separated fields", str(path), lineno)
-    return parts
+def _rows(path, minimum: int) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, stripped comma-separated fields) of each
+    non-blank line of ``path``; a line with fewer than ``minimum`` fields
+    is a ``ParseError``."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.strip().split(",")]
+        if len(parts) < minimum:
+            raise ParseError(f"expected at least {minimum} comma-separated fields",
+                             str(path), lineno)
+        yield lineno, parts
 
 
 def _float_field(raw: str, path, lineno) -> float:
@@ -124,11 +132,7 @@ def read_mot_detections(path: str | Path) -> dict[int, list[Detection]]:
     MOT convention for raw detector outputs.
     """
     rows = []
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = _split_fields(line, path, lineno, 7)
+    for lineno, parts in _rows(path, 7):
         frame = _int_field(parts[0], path, lineno, "frame")
         box = _box_fields(parts[2:6], path, lineno)
         score = _score_field(parts[6], path, lineno)
@@ -172,11 +176,7 @@ def read_visdrone(path: str | Path, mode: str = "det",
     if mode not in ("det", "gt"):
         raise ValueError(f"mode must be 'det' or 'gt', got {mode!r}")
     out: dict[int, list[AnnotatedBox]] = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = _split_fields(line, path, lineno, 8)
+    for lineno, parts in _rows(path, 8):
         frame = _int_field(parts[0], path, lineno, "frame")
         obj_id = _int_field(parts[1], path, lineno, "id")
         box = _box_fields(parts[2:6], path, lineno)
@@ -198,11 +198,7 @@ def read_mot_annotations(path: str | Path) -> dict[int, list[AnnotatedBox]]:
     VisDrone-layout files parse too (their class column lands in ``class``).
     """
     out: dict[int, list[AnnotatedBox]] = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = _split_fields(line, path, lineno, 6)
+    for lineno, parts in _rows(path, 6):
         frame = _int_field(parts[0], path, lineno, "frame")
         obj_id = _int_field(parts[1], path, lineno, "id")
         box = _box_fields(parts[2:6], path, lineno)

@@ -21,7 +21,7 @@ compensation unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,9 +95,9 @@ class AffineTransform2D:
         inv = np.linalg.inv(self.linear)
         return AffineTransform2D(inv, -inv @ self.translation)
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.linear - np.eye(2)) <= tol)
-                    and np.all(np.abs(self.translation) <= tol))
+    def is_identity(self) -> bool:
+        return bool(np.array_equal(self.linear, np.eye(2))
+                    and np.array_equal(self.translation, np.zeros(2)))
 
 
 @dataclass
@@ -438,10 +438,17 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
 # Robust affine estimation
 
 @dataclass
-class AffineEstimate:
-    transform: AffineTransform2D
+class MotionEstimate:
+    """Camera motion between two frames and the health of its estimate:
+    features detected, points tracked, RANSAC inlier ratio and samples
+    drawn, and whether it fell back to the identity. The defaults are the
+    flagged identity of a frame pair with nothing to fit."""
+
+    transform: AffineTransform2D = field(default_factory=AffineTransform2D.identity)
     inlier_ratio: float = 0.0
-    fallback: bool = False
+    n_features: int = 0
+    n_tracked: int = 0
+    fallback: bool = True
     ransac_iterations: int = 0
 
 
@@ -473,7 +480,7 @@ def _ransac_limit(inlier_ratio: float) -> int:
 
 
 def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
-                    seed: int = 0) -> AffineEstimate:
+                    seed: int = 0) -> MotionEstimate:
     """RANSAC + least-squares affine fit from matched point pairs.
 
     Each iteration fits an affine to 3 random pairs and counts the pairs
@@ -487,6 +494,8 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     Falls back to the identity (flagged) with fewer than 3 pairs, fewer than
     3 inliers, or all-collinear input. The sampler is seeded, so results are
     reproducible. Point arrays of different lengths raise ``ValueError``.
+    The estimate's ``n_features`` and ``n_tracked`` stay 0: only
+    ``estimate_camera_motion`` knows them.
     """
     src = np.asarray(prev_points, dtype=float).reshape(-1, 2)
     dst = np.asarray(cur_points, dtype=float).reshape(-1, 2)
@@ -494,7 +503,7 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     if len(dst) != n:
         raise ValueError(f"point counts differ: {n} vs {len(dst)}")
     if n < 3:
-        return AffineEstimate(AffineTransform2D.identity(), fallback=True)
+        return MotionEstimate()
 
     rng = np.random.default_rng(seed)
     best_count = 0
@@ -527,13 +536,11 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
             limit = min(limit, _ransac_limit(count / n))
 
     if best_inliers is None or best_count < 3:
-        return AffineEstimate(AffineTransform2D.identity(), fallback=True,
-                              ransac_iterations=iterations)
+        return MotionEstimate(ransac_iterations=iterations)
     fit = _fit_affine_lstsq(src[best_inliers], dst[best_inliers])
     if fit is None:
-        return AffineEstimate(AffineTransform2D.identity(), fallback=True,
-                              ransac_iterations=iterations)
-    return AffineEstimate(fit, best_count / n, fallback=False, ransac_iterations=iterations)
+        return MotionEstimate(ransac_iterations=iterations)
+    return MotionEstimate(fit, best_count / n, fallback=False, ransac_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -589,38 +596,28 @@ def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
 # ---------------------------------------------------------------------------
 # Frame-pair orchestration
 
-@dataclass
-class MotionEstimate:
-    """Camera motion between two frames, ready to apply to tracks, and the
-    health of its estimate: features detected, points tracked, RANSAC
-    inlier ratio and samples drawn, and whether it fell back to the
-    identity."""
-
-    transform: AffineTransform2D = field(default_factory=AffineTransform2D.identity)
-    inlier_ratio: float = 0.0
-    n_features: int = 0
-    n_tracked: int = 0
-    fallback: bool = True
-    ransac_iterations: int = 0
-
-
 def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
                            seed: int = 0) -> MotionEstimate:
     """Full pipeline: features on the previous frame, one forward LK pass,
     RANSAC affine fit, scale constraint. Both frames come from
-    ``motion_gray``; the transform is in full-resolution pixels."""
+    ``motion_gray``; the transform is in full-resolution pixels.
+
+    The estimate is the flagged identity (``fallback``) when the previous
+    frame has no feature, when ``estimate_affine`` falls back, and when the
+    fit collapses (|det| < 1e-6), because a collapsed transform cannot map
+    track states. Otherwise it is the fit with its scale constrained, which
+    only enlarges |det|."""
     points = detect_features(prev_gray)
     if len(points) == 0:
         return MotionEstimate()
     tracked = track_features(prev_gray, cur_gray, points)
     prev_pts, cur_pts = tracked.matched_pairs()
     estimate = estimate_affine(prev_pts * MC_DOWNSCALE, cur_pts * MC_DOWNSCALE, seed=seed)
-    constrained = constrain_scale(estimate.transform)
-    return MotionEstimate(
-        transform=constrained,
-        inlier_ratio=estimate.inlier_ratio,
+    collapsed = abs(float(np.linalg.det(estimate.transform.linear))) < 1e-6
+    return replace(
+        estimate,
+        transform=AffineTransform2D.identity() if collapsed else constrain_scale(estimate.transform),
         n_features=len(points),
         n_tracked=int(tracked.status.sum()),
-        fallback=estimate.fallback,
-        ransac_iterations=estimate.ransac_iterations,
+        fallback=estimate.fallback or collapsed,
     )

@@ -39,8 +39,7 @@ detector reproduces ground truth exactly.
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,48 +62,40 @@ def predicted_boxes(mean: np.ndarray) -> np.ndarray:
     return np.stack([cx - width / 2.0, cy - height / 2.0, width, height], axis=1)
 
 
-class PredictedBoxes(Mapping):
-    """Read-only mapping from track id to the track's predicted box in one
-    frame. It holds the ids and their (N, 4) left, top, width, height rows,
-    and builds the ``BoundingBox`` objects the first time a box is read."""
-
-    def __init__(self, ids: Sequence[int] = (), boxes: np.ndarray | None = None):
-        self._ids = list(ids)
-        self._boxes = np.empty((0, 4)) if boxes is None else boxes
-        self._built: dict[int, BoundingBox] | None = None
-
-    def _dict(self) -> dict[int, BoundingBox]:
-        if self._built is None:
-            self._built = {i: BoundingBox(*row)
-                           for i, row in zip(self._ids, self._boxes.tolist())}
-        return self._built
-
-    def __getitem__(self, track_id: int) -> BoundingBox:
-        return self._dict()[track_id]
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 @dataclass
 class FrameDiagnostics:
-    n_high: int = 0
-    n_low: int = 0
-    n_matched_first: int = 0
-    n_matched_second: int = 0
-    n_new_high: int = 0
-    n_new_low: int = 0
-    n_removed: int = 0
-    # Detections dropped for zero width or height.
-    n_degenerate: int = 0
-    motion: motion.MotionEstimate | None = None
-    used_embeddings: bool = False
-    # (before, after) aspect ratios captured around motion compensation.
-    aspect_pairs: list[tuple[float, float]] = field(default_factory=list)
-    predicted_boxes: PredictedBoxes = field(default_factory=PredictedBoxes)
+    """What one frame step decided, built once at the end of the step.
+
+    The counts: detections split high (score above tau) and low, detections
+    dropped for zero width or height, tracks matched in the first and the
+    second association, tracks born from high and from low detections, and
+    tracks removed (also those that a frame gap aged out). ``used_embeddings``
+    says whether the first association read an embedding cosine, and
+    ``motion`` is the frame pair's camera-motion estimate, None when motion
+    compensation is off, on the first frame, or with no live track.
+
+    The arrays describe the N tracks live as the frame starts, after a frame
+    gap has removed the tracks it aged out: ``track_ids`` (N,) their ids,
+    ``predicted_boxes`` (N, 4) their predicted left, top, width, height
+    after motion compensation and before any update (row i belongs to
+    ``track_ids[i]``), and ``aspect_pairs`` (N, 2) their aspect ratios
+    before and after motion compensation, (0, 2) when no transform was
+    applied.
+    """
+
+    n_high: int
+    n_low: int
+    n_matched_first: int
+    n_matched_second: int
+    n_new_high: int
+    n_new_low: int
+    n_removed: int
+    n_degenerate: int
+    used_embeddings: bool
+    motion: motion.MotionEstimate | None
+    track_ids: np.ndarray
+    predicted_boxes: np.ndarray
+    aspect_pairs: np.ndarray
 
 
 @dataclass
@@ -176,7 +167,6 @@ class Tracker:
         for det in detections:
             if det.frame != frame_index:
                 raise ValueError(f"detection for frame {det.frame} fed to frame {frame_index}")
-        diag = FrameDiagnostics()
         cfg = self.config
         # The live tracks' columns as this frame starts. Frames skipped since
         # the last call had no detections: every track missed each of them,
@@ -186,10 +176,11 @@ class Tracker:
         track_class_ids, track_embeddings = self.class_ids, self.track_embeddings
         has_embedding, track_memories = self.has_embedding, self.memories
         skipped = 0 if self._last_frame_index is None else frame_index - self._last_frame_index - 1
+        n_removed = 0
         if skipped:
             miss_counts = miss_counts + skipped
             alive = miss_counts < cfg.grace_frames
-            diag.n_removed = len(alive) - int(alive.sum())
+            n_removed = len(alive) - int(alive.sum())
             track_ids, miss_counts = track_ids[alive], miss_counts[alive]
             kalman_state, track_class_ids = kalman_state[alive], track_class_ids[alive]
             track_embeddings, has_embedding = track_embeddings[alive], has_embedding[alive]
@@ -202,51 +193,47 @@ class Tracker:
         d_high: list[Detection] = []
         d_low: list[Detection] = []
         c_high, c_low = [], []
+        n_degenerate = 0
         for j, det in enumerate(detections):
             if det.box.is_degenerate:
-                diag.n_degenerate += 1
+                n_degenerate += 1
                 continue
             embedding = None if self.embeddings is None else self.embeddings.get((frame_index, j))
             cues = appearance.detection_cues(image, det.box, embedding, fallback=self._fallback)
             is_high = det.score > cfg.tau
             (d_high if is_high else d_low).append(det)
             (c_high if is_high else c_low).append(cues)
-        if diag.n_degenerate:
+        if n_degenerate:
             log.warning("frame %d: dropped %d detection(s) with zero width or height",
-                        frame_index, diag.n_degenerate)
-        diag.n_high, diag.n_low = len(d_high), len(d_low)
+                        frame_index, n_degenerate)
         # Rows of the detection columns: the high detections, then the low.
+        n_high = len(d_high)
         dets, det_cues = d_high + d_low, c_high + c_low
         det_boxes, det_cols = _detection_columns(dets, det_cues, track_embeddings.shape[1])
-        high, low = det_cols.take(slice(0, diag.n_high)), det_cols.take(slice(diag.n_high, None))
+        high, low = det_cols.take(slice(0, n_high)), det_cols.take(slice(n_high, None))
 
         # Predict, then compensate camera motion, over the stacked state of
         # every live track.
         state = kalman.predict(kalman_state)
         gray = motion.motion_gray(image) if cfg.mc_enabled else None
+        estimate = None
+        aspect_pairs = np.empty((0, 2))
         if gray is not None and self._prev_gray is not None and len(track_ids):
             estimate = motion.estimate_camera_motion(self._prev_gray, gray, seed=frame_index)
-            diag.motion = estimate
-            # A collapsed fit cannot be applied to track states; treat the
-            # frame as having no usable camera estimate.
-            degenerate = abs(float(np.linalg.det(estimate.transform.linear))) < 1e-6
-            if not degenerate and not estimate.transform.is_identity():
-                before = state.mean[:, 2].tolist()
-                state = motion.apply_to_track(estimate.transform, state)
-                diag.aspect_pairs = list(zip(before, state.mean[:, 2].tolist()))
+            if not estimate.transform.is_identity():
+                compensated = motion.apply_to_track(estimate.transform, state)
+                aspect_pairs = np.column_stack([state.mean[:, 2], compensated.mean[:, 2]])
+                state = compensated
         boxes = predicted_boxes(state.mean)
         if not np.isfinite(boxes).all():
             raise NumericalError("non-finite predicted track state")
-        diag.predicted_boxes = PredictedBoxes(track_ids.tolist(), boxes)
         track_cols = association.Columns(corners(boxes), track_class_ids, track_embeddings,
                                          has_embedding, track_memories)
 
         # First association: all live tracks vs high-confidence detections.
         # Without any embedding every cosine is 1, so this is plain IoU.
         cost = association.build_stage_matrix(track_cols, high, "first")
-        diag.used_embeddings = bool(has_embedding.any() and high.has_embedding.any())
         first = association.hungarian(cost, association.MIN_FUSED_SIM_FIRST)
-        diag.n_matched_first = len(first.matches)
 
         # Second association: leftovers vs low-confidence detections. It
         # reads no Kalman state or embedding, so one update after it covers
@@ -256,13 +243,12 @@ class Tracker:
             track_cols.take(remaining), low, "second",
             use_appearance=cfg.traditional_second_assoc)
         second = association.hungarian(cost2, association.MIN_FUSED_SIM_SECOND)
-        diag.n_matched_second = len(second.matches)
 
         # Rows matched in either stage, and their detections' rows.
         rows = np.array([ti for ti, _ in first.matches]
                         + [remaining[ti] for ti, _ in second.matches], dtype=int)
         matched = np.array([dj for _, dj in first.matches]
-                           + [diag.n_high + dj for _, dj in second.matches], dtype=int)
+                           + [n_high + dj for _, dj in second.matches], dtype=int)
         state[rows] = kalman.update(state[rows], cxcyah(det_boxes[matched]))
         embeddings, has = track_embeddings, has_embedding
         mix = det_cols.has_embedding[matched]
@@ -282,7 +268,7 @@ class Tracker:
         misses = miss_counts + 1
         misses[rows] = 0
         kept = misses < cfg.grace_frames
-        diag.n_removed += len(kept) - int(kept.sum())
+        n_removed += len(kept) - int(kept.sum())
         ids, misses, class_ids = track_ids[kept], misses[kept], track_class_ids[kept]
         state, embeddings, has = state[kept], embeddings[kept], has[kept]
         memories = [m for m, keep in zip(memories, kept.tolist()) if keep]
@@ -291,12 +277,11 @@ class Tracker:
         # detections gated on appearance similarity against this frame's
         # same-class high detections.
         born = first.unmatched_cols
-        diag.n_new_high = len(born)
+        n_new_high = len(born)
         if cfg.low_init_enabled:
             candidates = second.unmatched_cols
             allowed = association.low_init_allowed(low.take(candidates), high, cfg.rho)
-            born = born + [diag.n_high + dj for dj, ok in zip(candidates, allowed) if ok]
-            diag.n_new_low = len(born) - diag.n_new_high
+            born = born + [n_high + dj for dj, ok in zip(candidates, allowed) if ok]
         new_ids = np.arange(self._next_id, self._next_id + len(born))
         new = kalman.initiate(cxcyah(det_boxes[born]))
         state = kalman.KalmanState(np.concatenate([state.mean, new.mean]),
@@ -319,7 +304,14 @@ class Tracker:
         self._next_id += len(born)
         self._last_frame_index = frame_index
         self._prev_gray = gray
-        return FrameResult(frame_index, outputs, diag)
+        return FrameResult(frame_index, outputs, FrameDiagnostics(
+            n_high=n_high, n_low=len(d_low),
+            n_matched_first=len(first.matches), n_matched_second=len(second.matches),
+            n_new_high=n_new_high, n_new_low=len(born) - n_new_high,
+            n_removed=n_removed, n_degenerate=n_degenerate,
+            used_embeddings=bool(has_embedding.any() and high.has_embedding.any()),
+            motion=estimate, track_ids=track_ids, predicted_boxes=boxes,
+            aspect_pairs=aspect_pairs))
 
 
 def run_sequence(frames, detections_by_frame: dict[int, list[Detection]],

@@ -14,7 +14,7 @@ from sftrack.association import hungarian
 from sftrack.cli import ABLATION_ROWS
 from sftrack.io_formats import write_results
 from sftrack.motion import AffineTransform2D, estimate_affine, detect_features, track_features
-from sftrack.types import iou
+from sftrack.types import BoundingBox, iou
 
 from test_metrics import as_frames, track_frames
 
@@ -111,7 +111,7 @@ def test_criterion_03_optical_flow_accuracy(presets):
     for fr in with_mc:
         if fr.frame < 2:
             continue
-        boxes = list(fr.diagnostics.predicted_boxes.values())
+        boxes = [BoundingBox(*row) for row in fr.diagnostics.predicted_boxes.tolist()]
         best = _best_iou_per_gt(gt[fr.frame], boxes)
         worst = min(worst, min(best))
     assert worst >= 0.9, f"worst compensated IoU {worst:.3f}"
@@ -121,7 +121,7 @@ def test_criterion_03_optical_flow_accuracy(presets):
     for fr in without_mc:
         if fr.frame < 2:
             continue
-        boxes = list(fr.diagnostics.predicted_boxes.values())
+        boxes = [BoundingBox(*row) for row in fr.diagnostics.predicted_boxes.tolist()]
         if boxes:
             dip = min(dip, min(_best_iou_per_gt(gt[fr.frame], boxes)))
     assert dip < 0.5, f"uncompensated prediction never dipped below 0.5 ({dip:.3f})"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sftrack import cli
-from sftrack.io_formats import read_ppm
+from sftrack.io_formats import load_sequence, read_mot_detections, read_ppm
 from sftrack.synthetic import NoiseSpec, ObjectSpec, ScenarioSpec, generate, write_scenario
+from sftrack.tracker import run_sequence
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,33 @@ class TestTrack:
         assert code == 0
         assert out.exists() and out.read_text()
         assert "frames:" in capsys.readouterr().out
+
+    def test_summary_sums_the_frame_records(self, tiny_seq, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        out = tmp_path / "res.txt"
+        assert cli.main(["track", "--seq", str(tiny_seq), "--det",
+                         str(tiny_seq / "det.txt"), "--out", str(out)]) == 0
+        printed = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+        seq = load_sequence(tiny_seq)
+        frames = ((k, seq.read_frame(k)) for k in range(1, len(seq.frame_paths) + 1))
+        results = run_sequence(frames, read_mot_detections(tiny_seq / "det.txt"))
+        d = [r.diagnostics for r in results]
+
+        def total(*names):
+            return "/".join(str(sum(getattr(x, name) for x in d)) for name in names)
+
+        fallbacks = sum(x.motion is not None and x.motion.fallback for x in d)
+        assert sum(x.motion is not None for x in d) == len(d) - 1
+        assert {name: value.strip() for name, value in printed.items()} == {
+            "frames": str(len(d)),
+            "high/low dets": total("n_high", "n_low"),
+            "dropped dets": total("n_degenerate") + " (zero width or height)",
+            "matched 1st/2nd": total("n_matched_first", "n_matched_second"),
+            "new high/low": total("n_new_high", "n_new_low"),
+            "removed tracks": total("n_removed"),
+            "motion fallbacks": str(fallbacks),
+            "output boxes": f"{sum(len(r.outputs) for r in results)} -> {out}",
+        }
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert cli.main(["track", "--seq", str(tmp_path / "nope"), "--det",

@@ -17,6 +17,12 @@ def textured_frame(seed=0, h=120, w=160):
 FRAME = textured_frame()
 
 
+def panning_frames(n: int) -> list[np.ndarray]:
+    """Frames of a camera panning 4 px per frame over a static texture."""
+    scene = textured_frame(seed=3, h=140, w=200)
+    return [scene[10:130, 4 * k:4 * k + 160] for k in range(n)]
+
+
 def det(frame, x, y, w=20, h=20, score=0.9, cls=0):
     return Detection(frame, BoundingBox(x, y, w, h), score, cls)
 
@@ -382,8 +388,7 @@ class TestMemory:
     def test_only_last_gray_frame_kept_after_motion_compensated_pass(self):
         # A camera panning over a static texture, with tracked targets, so
         # every frame after the first runs motion estimation.
-        scene = textured_frame(seed=3, h=140, w=200)
-        frames = [scene[10:130, 4 * k:4 * k + 160] for k in range(6)]
+        frames = panning_frames(6)
         t = Tracker(config(mc_enabled=True))
         for k, frame in enumerate(frames, start=1):
             r = t.step(k, frame, [det(k, 40 - 4 * k, 30), det(k, 100 - 4 * k, 70, score=0.3)])
@@ -540,7 +545,12 @@ class TestStackedKalmanBookkeeping:
             d = r.diagnostics
             events.append((d.n_matched_first, d.n_matched_second, d.n_new_high, d.n_removed))
             ref = {tid: kalman.predict(s) for tid, s in ref.items()}
-            assert d.predicted_boxes == {tid: box_of(s) for tid, s in ref.items()}, f"frame {k}"
+            assert d.track_ids.tolist() == sorted(ref), f"frame {k}"
+            assert d.predicted_boxes.shape == (len(d.track_ids), 4), f"frame {k}"
+            assert d.aspect_pairs.shape == (0, 2), f"frame {k}"
+            got = {tid: BoundingBox(*row)
+                   for tid, row in zip(d.track_ids.tolist(), d.predicted_boxes.tolist())}
+            assert got == {tid: box_of(s) for tid, s in ref.items()}, f"frame {k}"
             matched = {tid: box for tid, _cls, box, _score in r.outputs}
             for tid, box in matched.items():
                 z = to_cxcyah(box)
@@ -641,18 +651,41 @@ class TestEmbeddingTable:
                 assert np.array_equal(got[i], want), i
 
 
-class TestPredictedBoxes:
-    def test_mapping_is_read_only_and_built_on_read(self):
-        t = Tracker(config())
-        t.step(1, FRAME, [det(1, 50, 40), det(1, 100, 70)])
-        boxes = t.step(2, FRAME, []).diagnostics.predicted_boxes
-        assert len(boxes) == 2 and boxes._built is None
-        assert list(boxes) == [1, 2]
-        assert boxes[1] == box_of(kalman.predict(kalman.initiate(to_cxcyah(BoundingBox(50, 40, 20, 20)))))
-        assert boxes._built is not None
-        with pytest.raises(TypeError):
-            boxes[3] = BoundingBox(0, 0, 1, 1)
+class TestFrameDiagnostics:
+    def test_record_arrays_unchanged_by_later_frames(self):
+        t = Tracker(config(mc_enabled=True))
+        for k, frame in enumerate(panning_frames(6), start=1):
+            r = t.step(k, frame, [det(k, 40 - 4 * k, 30), det(k, 100 - 4 * k, 70, score=0.3)])
+            if k == 3:
+                d = r.diagnostics
+                arrays = (d.track_ids, d.predicted_boxes, d.aspect_pairs)
+                snapshot = [a.copy() for a in arrays]
+        assert len(d.track_ids) == 2 and d.aspect_pairs.shape == (2, 2)
+        for got, want in zip(arrays, snapshot):
+            assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("linear", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.5, 0.0]]],
+                             ids=["rank1", "zero_scale_y"])
+    def test_collapsed_fit_is_a_flagged_fallback(self, monkeypatch, linear):
+        collapsed = motion.MotionEstimate(
+            motion.AffineTransform2D(np.array(linear), np.array([3.0, -2.0])),
+            inlier_ratio=1.0, fallback=False, ransac_iterations=1)
+        monkeypatch.setattr(motion, "estimate_affine", lambda src, dst, seed=0: collapsed)
+        with_mc, without_mc = Tracker(config(mc_enabled=True)), Tracker(config())
+        for k, frame in enumerate(panning_frames(3), start=1):
+            dets = [det(k, 40 - 4 * k, 30), det(k, 100 - 4 * k, 70, score=0.3)]
+            d = with_mc.step(k, frame, dets).diagnostics
+            without_mc.step(k, frame, dets)
+            if k > 1:
+                assert d.motion.fallback and d.motion.transform.is_identity()
+                assert d.motion.n_features > 0 and d.motion.inlier_ratio == 1.0
+                assert d.aspect_pairs.shape == (0, 2)
+            assert np.array_equal(with_mc.kalman_state.mean, without_mc.kalman_state.mean)
+            assert np.array_equal(with_mc.kalman_state.covariance,
+                                  without_mc.kalman_state.covariance)
+
+
+class TestPredictedBoxes:
     def test_non_finite_prediction_is_a_numerical_error(self, monkeypatch):
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40)])
