@@ -201,7 +201,8 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
 
     Frames are 1-based, det_index is 0-based in detection-file order within
     the frame. Vectors are renormalized to unit norm; dimensions must agree
-    across the file.
+    across the file. A frame below 1, a negative det_index, and a vector
+    with a non-finite value or norm raise ``ParseError`` naming file:line.
     """
     out: dict[tuple[int, int], np.ndarray] = {}
     dim: int | None = None
@@ -218,11 +219,17 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
             vec = np.array([float(p) for p in parts[2:]])
         except ValueError:
             raise ParseError(f"malformed embedding row {line!r}", str(path), lineno)
+        if frame < 1 or det_index < 0:
+            raise ParseError(f"need frame >= 1 and det_index >= 0, got {frame},{det_index}",
+                             str(path), lineno)
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
             raise ParseError(f"dimension {vec.size} differs from {dim}", str(path), lineno)
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(vec)
+        if not np.isfinite(norm):
+            raise ParseError("embedding vector has a non-finite value or norm", str(path), lineno)
         if norm == 0.0:
             raise ParseError("zero embedding vector cannot be normalized", str(path), lineno)
         out[(frame, det_index)] = vec / norm

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, synthetic, tracker as tracker_mod
-from .appearance import load_embeddings
+from .appearance import extract_crop, load_embeddings
 from .config import TrackerConfig
 from .errors import NumericalError, SFTrackError
 from .io_formats import (AnnotatedBox, load_sequence, read_mot_annotations,
@@ -161,18 +161,16 @@ def _track_color(track_id: int) -> np.ndarray:
 
 
 def _draw_box(image: np.ndarray, box, color: np.ndarray, thickness: int = 2) -> None:
-    h, w = image.shape[:2]
-    x0 = max(0, int(round(box.left)))
-    y0 = max(0, int(round(box.top)))
-    x1 = min(w, int(round(box.left + box.width)))
-    y1 = min(h, int(round(box.top + box.height)))
-    if x1 <= x0 or y1 <= y0:
+    """Outline the box's pixels, as ``extract_crop`` rounds and clamps them,
+    by drawing its four edges into the crop, a view into ``image``."""
+    crop = extract_crop(image, box)
+    if crop is None:
         return
     t = thickness
-    image[y0:min(y0 + t, y1), x0:x1] = color
-    image[max(y1 - t, y0):y1, x0:x1] = color
-    image[y0:y1, x0:min(x0 + t, x1)] = color
-    image[y0:y1, max(x1 - t, x0):x1] = color
+    crop[:t] = color
+    crop[-t:] = color
+    crop[:, :t] = color
+    crop[:, -t:] = color
 
 
 def cmd_overlay(args) -> int:

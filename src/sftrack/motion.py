@@ -9,13 +9,15 @@ which serves both frame pairs it belongs to. Per frame pair:
 - they are tracked to the current frame with one forward pass of pyramidal
   Lucas-Kanade, whose window gradients are taken from the sampled template
   window itself (Bouguet's form);
-- a RANSAC affine fit, the only outlier filter, recovers the global
-  transform, drawing samples until an all-inlier sample has been drawn with
-  probability ``RANSAC_CONFIDENCE`` (the adaptive stop).
+- a RANSAC fit of a similarity (uniform scale, rotation, translation),
+  the only outlier filter, recovers the global transform from 2-point
+  samples, drawing them until an all-inlier sample has been drawn with
+  probability ``RANSAC_CONFIDENCE`` (the adaptive stop), and refits the
+  best sample's inliers in closed form.
 
-Before it touches any track the transform is re-scaled to use one uniform
-scale factor, the larger of its x/y factors, so box aspect ratios survive
-compensation unchanged.
+The similarity is the model compensation applies: it moves track centers
+and scales heights uniformly, and box aspect ratios are copied through
+unchanged.
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ class AffineTransform2D:
     @property
     def scale_x(self) -> float:
         return float(np.linalg.norm(self.linear[:, 0]))
-
-    @property
-    def scale_y(self) -> float:
-        return float(np.linalg.norm(self.linear[:, 1]))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -435,7 +433,7 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Robust affine estimation
+# Robust similarity estimation
 
 @dataclass
 class MotionEstimate:
@@ -452,27 +450,34 @@ class MotionEstimate:
     ransac_iterations: int = 0
 
 
-def _fit_affine_lstsq(src: np.ndarray, dst: np.ndarray) -> AffineTransform2D | None:
-    n = len(src)
-    design = np.zeros((2 * n, 6))
-    design[0::2, 0:2] = src
-    design[0::2, 2] = 1.0
-    design[1::2, 3:5] = src
-    design[1::2, 5] = 1.0
-    rhs = dst.reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 6:
+def _fit_similarity(src: np.ndarray, dst: np.ndarray) -> AffineTransform2D | None:
+    """Least-squares similarity (uniform scale, rotation, translation) that
+    maps ``src`` onto ``dst``, both (N, 2), in closed form.
+
+    With points as complex numbers s and d the transform is d = z s + t,
+    where z = sum((d - mean d) conj(s - mean s)) / sum(|s - mean s|^2) and
+    t = mean d - z mean s; on two points it interpolates them exactly.
+    None when the source points coincide (their squared spread about the
+    centroid is below 1e-12 px^2), since they fix no scale or rotation.
+    """
+    s = src[:, 0] + 1j * src[:, 1]
+    d = dst[:, 0] + 1j * dst[:, 1]
+    s_mean, d_mean = s.mean(), d.mean()
+    s = s - s_mean
+    spread = np.vdot(s, s).real
+    if spread < 1e-12:
         return None
-    a = np.array([[sol[0], sol[1]], [sol[3], sol[4]]])
-    t = np.array([sol[2], sol[5]])
-    return AffineTransform2D(a, t)
+    z = np.vdot(s, d - d_mean) / spread  # vdot conjugates its first argument
+    t = d_mean - z * s_mean
+    return AffineTransform2D(np.array([[z.real, -z.imag], [z.imag, z.real]]),
+                             np.array([t.real, t.imag]))
 
 
 def _ransac_limit(inlier_ratio: float) -> int:
-    """Samples that draw at least one all-inlier triple with probability
+    """Samples that draw at least one all-inlier pair with probability
     ``RANSAC_CONFIDENCE`` at this inlier ratio, at most ``RANSAC_ITERATIONS``:
-    ceil(log(1 - p) / log(1 - w^3)) (Hartley & Zisserman, section 4.7)."""
-    all_inlier = inlier_ratio ** 3
+    ceil(log(1 - p) / log(1 - w^2)) (Hartley & Zisserman, section 4.7)."""
+    all_inlier = inlier_ratio ** 2
     if all_inlier >= 1.0:
         return 0
     n = math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-all_inlier))
@@ -481,21 +486,22 @@ def _ransac_limit(inlier_ratio: float) -> int:
 
 def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
                     seed: int = 0) -> MotionEstimate:
-    """RANSAC + least-squares affine fit from matched point pairs.
+    """RANSAC + least-squares similarity fit from matched point pairs.
 
-    Each iteration fits an affine to 3 random pairs and counts the pairs
-    within ``RANSAC_INLIER_THRESHOLD`` px of it. The sampling stops
-    adaptively: after each new best count, with inlier ratio w, the limit
-    becomes min(``RANSAC_ITERATIONS``, ceil(log(1 - p) / log(1 - w^3))) for
-    p = ``RANSAC_CONFIDENCE``, the number of samples that draw at least one
-    all-inlier triple with probability p. The best sample's inliers are then
-    refit by least squares.
+    Each iteration fits a similarity (``_fit_similarity``) to 2 random pairs
+    and counts the pairs within ``RANSAC_INLIER_THRESHOLD`` px of it. The
+    sampling stops adaptively: after each new best count, with inlier ratio
+    w, the limit becomes min(``RANSAC_ITERATIONS``,
+    ceil(log(1 - p) / log(1 - w^2))) for p = ``RANSAC_CONFIDENCE``, the
+    number of samples that draw at least one all-inlier pair with
+    probability p. The best sample's inliers are then refit by the same
+    least-squares similarity, so the transform is always a similarity.
 
     Falls back to the identity (flagged) with fewer than 3 pairs, fewer than
-    3 inliers, or all-collinear input. The sampler is seeded, so results are
-    reproducible. Point arrays of different lengths raise ``ValueError``.
-    The estimate's ``n_features`` and ``n_tracked`` stay 0: only
-    ``estimate_camera_motion`` knows them.
+    3 inliers, or coincident input points. The sampler is seeded, so results
+    are reproducible. Point arrays of different lengths raise
+    ``ValueError``. The estimate's ``n_features`` and ``n_tracked`` stay 0:
+    only ``estimate_camera_motion`` knows them.
     """
     src = np.asarray(prev_points, dtype=float).reshape(-1, 2)
     dst = np.asarray(cur_points, dtype=float).reshape(-1, 2)
@@ -508,26 +514,16 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
     rng = np.random.default_rng(seed)
     best_count = 0
     best_inliers: np.ndarray | None = None
-    src_h = np.column_stack([src, np.ones(n)])
     thr2 = RANSAC_INLIER_THRESHOLD * RANSAC_INLIER_THRESHOLD
     limit = RANSAC_ITERATIONS
     iterations = 0
     while iterations < limit:
         iterations += 1
-        pick = rng.choice(n, size=3, replace=False)
-        p = src[pick]
-        # Degenerate (collinear) minimal samples cannot pin down an affine.
-        area2 = abs((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                    - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-        if area2 < 1e-9:
+        pick = rng.choice(n, size=2, replace=False)
+        fit = _fit_similarity(src[pick], dst[pick])
+        if fit is None:
             continue
-        design = np.column_stack([p, np.ones(3)])
-        try:
-            coef = np.linalg.solve(design, dst[pick])  # (3, 2): rows x,y,1
-        except np.linalg.LinAlgError:
-            continue
-        warped = src_h @ coef
-        err2 = ((warped - dst) ** 2).sum(axis=1)
+        err2 = ((fit.apply(src) - dst) ** 2).sum(axis=1)
         inliers = err2 < thr2
         count = int(inliers.sum())
         if count > best_count:
@@ -537,7 +533,7 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
 
     if best_inliers is None or best_count < 3:
         return MotionEstimate(ransac_iterations=iterations)
-    fit = _fit_affine_lstsq(src[best_inliers], dst[best_inliers])
+    fit = _fit_similarity(src[best_inliers], dst[best_inliers])
     if fit is None:
         return MotionEstimate(ransac_iterations=iterations)
     return MotionEstimate(fit, best_count / n, fallback=False, ransac_iterations=iterations)
@@ -546,28 +542,13 @@ def estimate_affine(prev_points: np.ndarray, cur_points: np.ndarray,
 # ---------------------------------------------------------------------------
 # Ratio-preserving compensation
 
-def constrain_scale(m: AffineTransform2D) -> AffineTransform2D:
-    """Replace per-axis scale factors with the larger of the two.
-
-    Decomposes scale as the column norms of the linear part, then rescales
-    both columns to the maximum so the transform scales uniformly; the
-    translation is untouched. Zero scale on either axis falls back to the
-    identity.
-    """
-    sx, sy = m.scale_x, m.scale_y
-    if sx == 0.0 or sy == 0.0:
-        return AffineTransform2D.identity()
-    s = max(sx, sy)
-    a = m.linear @ np.diag([s / sx, s / sy])
-    return AffineTransform2D(a, m.translation.copy())
-
-
 def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
     """Map track states, (..., 8) means with (..., 8, 8) covariances, through
-    a scale-constrained camera transform.
+    a similarity camera transform.
 
     Center and velocity rotate/scale with the linear part, height scales by
-    the uniform factor, and the aspect ratio is copied through untouched.
+    its uniform factor (the norm of its first column), and the aspect ratio
+    is copied through untouched, so it survives compensation bit for bit.
     Covariance blocks are conjugated accordingly.
     """
     a = m.linear
@@ -599,14 +580,13 @@ def apply_to_track(m: AffineTransform2D, state: KalmanState) -> KalmanState:
 def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
                            seed: int = 0) -> MotionEstimate:
     """Full pipeline: features on the previous frame, one forward LK pass,
-    RANSAC affine fit, scale constraint. Both frames come from
-    ``motion_gray``; the transform is in full-resolution pixels.
+    RANSAC similarity fit. Both frames come from ``motion_gray``; the
+    transform is in full-resolution pixels.
 
     The estimate is the flagged identity (``fallback``) when the previous
     frame has no feature, when ``estimate_affine`` falls back, and when the
     fit collapses (|det| < 1e-6), because a collapsed transform cannot map
-    track states. Otherwise it is the fit with its scale constrained, which
-    only enlarges |det|."""
+    track states. Otherwise it is the fitted similarity as it is."""
     points = detect_features(prev_gray)
     if len(points) == 0:
         return MotionEstimate()
@@ -616,7 +596,7 @@ def estimate_camera_motion(prev_gray: np.ndarray, cur_gray: np.ndarray,
     collapsed = abs(float(np.linalg.det(estimate.transform.linear))) < 1e-6
     return replace(
         estimate,
-        transform=AffineTransform2D.identity() if collapsed else constrain_scale(estimate.transform),
+        transform=AffineTransform2D.identity() if collapsed else estimate.transform,
         n_features=len(points),
         n_tracked=int(tracked.status.sum()),
         fallback=estimate.fallback or collapsed,

@@ -162,17 +162,12 @@ def camera_transforms(spec: ScenarioSpec) -> tuple[list[AffineTransform2D],
     return motions, world_to_image
 
 
-def _gt_box(obj: ObjectSpec, frame: int, w2i: AffineTransform2D) -> BoundingBox:
-    cx, cy = w2i.apply(np.array(obj.center_at(frame)))
+def _image_box(center, width: float, height: float, w2i: AffineTransform2D) -> BoundingBox:
+    """Image box of a world rectangle with this (x, y) ``center`` and size:
+    the center goes through ``w2i``, the size scales by its factor."""
+    cx, cy = w2i.apply(np.array(center))
     s = w2i.scale_x  # similarity: uniform scale
-    w, h = obj.width * s, obj.height * s
-    return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
-
-
-def _occluder_box(occ: OccluderSpec, w2i: AffineTransform2D) -> BoundingBox:
-    cx, cy = w2i.apply(np.array([occ.x, occ.y]))
-    s = w2i.scale_x
-    w, h = occ.width * s, occ.height * s
+    w, h = width * s, height * s
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
@@ -288,9 +283,11 @@ def render_frame(spec: ScenarioSpec, frame: int, w2i: AffineTransform2D) -> np.n
     s = w2i.scale_x
     layers: list[tuple[BoundingBox, tuple[int, int, int], int]] = []
     for i, obj in enumerate(spec.objects):
-        layers.append((_gt_box(obj, frame, w2i), obj.color, _SALT_OBJECT + i))
+        box = _image_box(obj.center_at(frame), obj.width, obj.height, w2i)
+        layers.append((box, obj.color, _SALT_OBJECT + i))
     for j, occ in enumerate(spec.occluders):
-        layers.append((_occluder_box(occ, w2i), occ.color, _SALT_OCCLUDER + j))
+        box = _image_box((occ.x, occ.y), occ.width, occ.height, w2i)
+        layers.append((box, occ.color, _SALT_OCCLUDER + j))
 
     for box, color, salt in layers:
         x0 = max(0, int(math.floor(box.left)))
@@ -346,9 +343,11 @@ def build_annotations(spec: ScenarioSpec) -> tuple[dict[int, list[AnnotatedBox]]
     dets: dict[int, list[Detection]] = {}
     for k in range(1, spec.frames + 1):
         w2i = w2i_list[k - 1]
-        boxes = [_gt_box(obj, k, w2i) for obj in spec.objects]
+        boxes = [_image_box(obj.center_at(k), obj.width, obj.height, w2i)
+                 for obj in spec.objects]
         # Later objects and then occluders draw on top of an object.
-        layers = boxes + [_occluder_box(o, w2i) for o in spec.occluders]
+        layers = boxes + [_image_box((o.x, o.y), o.width, o.height, w2i)
+                           for o in spec.occluders]
         edges = np.array([[b.left, b.top, b.right, b.bottom] for b in layers])
         gt_rows: list[AnnotatedBox] = []
         det_rows: list[Detection] = []

@@ -50,7 +50,8 @@ def test_criterion_01_assignment_optimality():
 # -- 2 ----------------------------------------------------------------------
 
 def test_criterion_02_affine_recovery():
-    """Seeded similarity transforms recovered to 1e-6 (clean), 1e-3 (20% outliers)."""
+    """Similarity recovery: seeded similarity transforms recovered to 1e-6
+    (clean), 1e-3 (20% outliers)."""
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
         scale = rng.uniform(0.9, 1.1)
@@ -74,7 +75,7 @@ def test_criterion_02_affine_recovery():
         est2 = estimate_affine(src, noisy, seed=seed)
         assert np.abs(est2.transform.linear - true.linear).max() < 1e-3
         assert np.abs(est2.transform.translation - true.translation).max() < 1e-3
-    _report("criterion 2: affine recovery over 100 seeds (1e-6 clean, 1e-3 outliers)")
+    _report("criterion 2: similarity recovery over 100 seeds (1e-6 clean, 1e-3 outliers)")
 
 
 # -- 3 ----------------------------------------------------------------------

@@ -349,6 +349,16 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match=":2"):
             ap.load_embeddings(p)
 
+    @pytest.mark.parametrize("row", ["2,0,nan,1", "2,0,1,inf", "2,0,-inf,0", "2,0,1e200,1",
+                                     "0,0,1,0", "-3,0,1,0", "2,-1,1,0"],
+                             ids=["nan", "inf", "neg_inf", "norm_overflow", "frame_0",
+                                  "frame_negative", "det_index_negative"])
+    def test_bad_row_names_line(self, tmp_path, row):
+        p = tmp_path / "e.txt"
+        p.write_text(f"1,0,1,0\n{row}\n")
+        with pytest.raises(ParseError, match="e.txt:2"):
+            ap.load_embeddings(p)
+
 
 class TestAppearanceMemory:
     def test_ema_stays_unit(self):

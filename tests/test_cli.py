@@ -8,6 +8,7 @@ from sftrack import cli
 from sftrack.io_formats import load_sequence, read_mot_detections, read_ppm
 from sftrack.synthetic import NoiseSpec, ObjectSpec, ScenarioSpec, generate, write_scenario
 from sftrack.tracker import run_sequence
+from sftrack.types import BoundingBox
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,18 @@ class TestTrack:
                          "--out", str(out)]) == 0
         assert {line.split(",")[0] for line in out.read_text().splitlines()} >= {"1", "2"}
 
+    @pytest.mark.parametrize("row", ["1,1,nan,1", "1,0,inf,0", "0,0,1,0", "1,-1,1,0"],
+                             ids=["nan", "inf", "frame_0", "det_index_negative"])
+    def test_bad_embeddings_row_exit_2(self, tiny_seq, tmp_path, capsys, row):
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"1,0,1,0\n{row}\n")
+        code = cli.main(["track", "--seq", str(tiny_seq), "--det",
+                         str(tiny_seq / "det.txt"), "--embeddings", str(emb),
+                         "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert "emb.txt:2" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
     def test_degenerate_detection_rows_run(self, tiny_seq, tmp_path, capsys):
         det = tmp_path / "det.txt"
         rows = (tiny_seq / "det.txt").read_text()
@@ -243,6 +256,22 @@ class TestEval:
         assert "frame ranges differ" in capsys.readouterr().err
 
 
+def draw_box_reference(image, box, color, thickness):
+    """Outline drawing with explicit rounding, clamping and edge bounds."""
+    h, w = image.shape[:2]
+    x0 = max(0, int(round(box.left)))
+    y0 = max(0, int(round(box.top)))
+    x1 = min(w, int(round(box.left + box.width)))
+    y1 = min(h, int(round(box.top + box.height)))
+    if x1 <= x0 or y1 <= y0:
+        return
+    t = thickness
+    image[y0:min(y0 + t, y1), x0:x1] = color
+    image[max(y1 - t, y0):y1, x0:x1] = color
+    image[y0:y1, x0:min(x0 + t, x1)] = color
+    image[y0:y1, max(x1 - t, x0):x1] = color
+
+
 class TestOverlay:
     def test_empty_results_copies_frames(self, tiny_seq, tmp_path):
         res = tmp_path / "empty.txt"
@@ -269,6 +298,21 @@ class TestOverlay:
         assert xs.min() >= 10 and xs.max() <= 39
         interior = diff[13:27, 13:37]
         assert not interior.any()  # outline only
+
+    @pytest.mark.parametrize("box", [
+        (10.0, 10.0, 30.0, 20.0), (-12.4, 30.0, 40.0, 25.0), (140.6, 100.2, 40.0, 40.0),
+        (-5.0, -5.0, 200.0, 150.0), (50.0, 40.0, 1.0, 30.0), (50.0, 40.0, 30.0, 1.4),
+        (50.0, 40.0, 2.0, 3.0), (50.0, 40.0, 0.3, 0.3), (170.0, 20.0, 10.0, 10.0),
+        (20.0, -30.0, 10.0, 10.0), (159.6, 119.6, 5.0, 5.0),
+    ])
+    @pytest.mark.parametrize("thickness", [1, 2, 3])
+    def test_draw_box_equals_explicit_edges(self, box, thickness):
+        image = np.random.default_rng(0).integers(0, 256, size=(120, 160, 3)).astype(np.uint8)
+        color = cli._track_color(7)
+        want = image.copy()
+        draw_box_reference(want, BoundingBox(*box), color, thickness)
+        cli._draw_box(image, BoundingBox(*box), color, thickness)
+        assert image.tobytes() == want.tobytes()
 
     def test_deterministic(self, tiny_seq, tmp_path):
         res = tmp_path / "one.txt"

@@ -6,7 +6,7 @@ import pytest
 from sftrack import kalman, motion, synthetic
 from sftrack.io_formats import load_sequence
 from sftrack.motion import (LK_WINDOW, MC_DOWNSCALE, RANSAC_ITERATIONS, AffineTransform2D,
-                            apply_to_track, constrain_scale, detect_features, downscale,
+                            apply_to_track, detect_features, downscale,
                             estimate_affine, estimate_camera_motion, motion_gray,
                             rgb_to_gray, track_features)
 
@@ -331,6 +331,17 @@ class TestTrackFeatures:
             track_features(np.zeros((10, 10)), np.zeros((12, 10)), np.zeros((0, 2)))
 
 
+def similarity_lstsq(src, dst):
+    """Reference least-squares similarity: x' = a x - b y + tx,
+    y' = b x + a y + ty solved for (a, b, tx, ty) by ``np.linalg.lstsq``."""
+    n = len(src)
+    design = np.zeros((2 * n, 4))
+    design[0::2] = np.column_stack([src[:, 0], -src[:, 1], np.ones(n), np.zeros(n)])
+    design[1::2] = np.column_stack([src[:, 1], src[:, 0], np.zeros(n), np.ones(n)])
+    (a, b, tx, ty), *_ = np.linalg.lstsq(design, dst.reshape(-1), rcond=None)
+    return AffineTransform2D(np.array([[a, -b], [b, a]]), np.array([tx, ty]))
+
+
 class TestEstimateAffine:
     def test_identity_recovery(self):
         rng = np.random.default_rng(6)
@@ -364,8 +375,8 @@ class TestEstimateAffine:
         assert np.abs(est.transform.linear - true.linear).max() < 1e-3
         assert np.abs(est.transform.translation - true.translation).max() < 1e-3
         assert est.inlier_ratio == pytest.approx(0.8, abs=0.05)
-        # At an inlier ratio of 0.8 the adaptive stop needs 7 samples.
-        assert 7 <= est.ransac_iterations <= RANSAC_ITERATIONS
+        # At an inlier ratio of 0.8 the adaptive stop needs 5 samples.
+        assert 5 <= est.ransac_iterations <= RANSAC_ITERATIONS
 
     def test_too_few_pairs_fallback(self):
         est = estimate_affine(np.zeros((2, 2)), np.zeros((2, 2)), seed=1)
@@ -373,9 +384,17 @@ class TestEstimateAffine:
         assert est.transform.is_identity()
 
     def test_collinear_fallback(self):
+        # Collinear points fix a similarity; only coincident points fall back.
         src = np.array([[float(i), 0.0] for i in range(10)])
+        true = AffineTransform2D.similarity(1.05, math.radians(20.0), (1.0, -3.0))
+        est = estimate_affine(src, true.apply(src), seed=1)
+        assert not est.fallback and est.inlier_ratio == 1.0
+        assert np.abs(est.transform.linear - true.linear).max() < 1e-9
+        assert np.abs(est.transform.translation - true.translation).max() < 1e-9
+
+        src = np.full((10, 2), 0.1)
         est = estimate_affine(src, src + 1.0, seed=1)
-        assert est.fallback
+        assert est.fallback and est.transform.is_identity()
         assert est.ransac_iterations == RANSAC_ITERATIONS
 
     @pytest.mark.parametrize("n_cur", [0, 2, 49, 51])
@@ -412,40 +431,53 @@ class TestEstimateAffine:
             est = estimate_affine(src, dst, seed=seed)
             assert 1 <= est.ransac_iterations <= RANSAC_ITERATIONS
 
-    @pytest.mark.parametrize("ratio, limit", [(1.0, 0), (0.99, 2), (0.8, 7), (0.5, 35),
+    @pytest.mark.parametrize("ratio, limit", [(1.0, 0), (0.99, 2), (0.8, 5), (0.5, 17),
                                               (0.1, RANSAC_ITERATIONS)])
     def test_ransac_limit(self, ratio, limit):
         assert motion._ransac_limit(ratio) == limit
 
+    @pytest.mark.parametrize("outlier_share", [0.0, 0.2, 0.5])
+    def test_transform_is_an_exact_similarity(self, outlier_share):
+        rng = np.random.default_rng(int(outlier_share * 100) + 14)
+        for seed in range(20):
+            src = rng.uniform(0, 640, size=(60, 2))
+            true = AffineTransform2D.similarity(rng.uniform(0.9, 1.1),
+                                                math.radians(rng.uniform(-10, 10)),
+                                                rng.uniform(-20, 20, size=2))
+            dst = true.apply(src) + rng.normal(scale=0.3, size=src.shape)
+            bad = rng.random(60) < outlier_share
+            dst[bad] = rng.uniform(0, 640, size=(int(bad.sum()), 2))
+            est = estimate_affine(src, dst, seed=seed)
+            assert not est.fallback
+            a = est.transform.linear
+            assert a[0, 0] == a[1, 1] and a[0, 1] == -a[1, 0]
 
-class TestConstrainScale:
-    def test_max_rule_diagonal(self):
-        m = AffineTransform2D(np.diag([1.2, 0.9]), np.zeros(2))
-        out = constrain_scale(m)
-        assert np.allclose(out.linear, np.diag([1.2, 1.2]), atol=1e-12)
+    @pytest.mark.parametrize("case", ["sheared", "noisy"])
+    def test_fit_matches_least_squares_reference(self, case):
+        # Shear and noise are small enough that every 2-point sample keeps
+        # all pairs within the inlier threshold, so the refit is the
+        # least-squares similarity over all of them.
+        rng = np.random.default_rng(15)
+        for seed in range(20):
+            src = rng.uniform(0, 640, size=(60, 2))
+            if case == "sheared":
+                linear = np.array([[1.001, 0.0005], [-0.0002, 0.9995]])
+                dst = AffineTransform2D(linear, rng.uniform(-20, 20, size=2)).apply(src)
+            else:
+                true = AffineTransform2D.similarity(rng.uniform(0.9, 1.1),
+                                                    math.radians(rng.uniform(-10, 10)),
+                                                    rng.uniform(-20, 20, size=2))
+                dst = true.apply(src) + rng.normal(scale=0.01, size=src.shape)
+            est = estimate_affine(src, dst, seed=seed)
+            assert est.inlier_ratio == 1.0
+            ref = similarity_lstsq(src, dst)
+            assert np.abs(est.transform.linear - ref.linear).max() < 1e-9
+            assert np.abs(est.transform.translation - ref.translation).max() < 1e-9
 
-    def test_pure_rotation_unchanged(self):
-        m = AffineTransform2D.similarity(1.0, math.radians(30), (0, 0))
-        out = constrain_scale(m)
-        assert np.allclose(out.linear, m.linear, atol=1e-12)
 
-    def test_translation_untouched(self):
-        m = AffineTransform2D(np.diag([0.8, 1.0]), np.array([5.0, 5.0]))
-        out = constrain_scale(m)
-        assert np.allclose(out.linear, np.eye(2), atol=1e-12)
-        assert np.array_equal(out.translation, m.translation)
-
-    def test_equal_column_norms(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            m = AffineTransform2D(rng.normal(scale=1.0, size=(2, 2)) + np.eye(2),
-                                  rng.normal(size=2))
-            out = constrain_scale(m)
-            assert abs(out.scale_x - out.scale_y) < 1e-9
-
-    def test_zero_scale_fallback(self):
-        m = AffineTransform2D(np.array([[0.0, 0.0], [0.0, 1.0]]), np.ones(2))
-        assert constrain_scale(m).is_identity()
+def random_similarity(rng):
+    return AffineTransform2D.similarity(rng.uniform(0.8, 1.25), rng.uniform(-0.3, 0.3),
+                                        rng.normal(size=2), rng.uniform(0, 640, size=2))
 
 
 class TestApplyToTrack:
@@ -486,8 +518,7 @@ class TestApplyToTrack:
         rng = np.random.default_rng(10)
         s = self.state(a=0.7314159)
         for _ in range(100):
-            m = constrain_scale(AffineTransform2D(
-                np.eye(2) + rng.normal(scale=0.1, size=(2, 2)), rng.normal(size=2)))
+            m = random_similarity(rng)
             out = apply_to_track(m, s)
             assert out.mean[2] == s.mean[2]
 
@@ -503,8 +534,7 @@ class TestApplyToTrack:
             states.append(s)
         stack = kalman.KalmanState(np.reshape([s.mean for s in states], (-1, 8)),
                                    np.reshape([s.covariance for s in states], (-1, 8, 8)))
-        m = constrain_scale(AffineTransform2D(
-            np.eye(2) + rng.normal(scale=0.1, size=(2, 2)), rng.normal(size=2)))
+        m = random_similarity(rng)
         out = apply_to_track(m, stack)
         singles = [apply_to_track(m, s) for s in states]
         assert np.array_equal(out.mean, np.reshape([s.mean for s in singles], (-1, 8)))
@@ -537,6 +567,8 @@ class TestSceneAccuracy:
         LK's gradients from the template window and stopping RANSAC
         adaptively brought it to 0.244 / 0.531 px; the bounds, 0.30 / 0.60
         px before, now hold the 0.27 / 0.56 px of the step before that.
+        Fitting a similarity in place of an affine brought it to 0.181 /
+        0.304 px.
         """
         spec = synthetic.preset("fast_camera")
         truth = synthetic.camera_transforms(spec)[0]

@@ -139,7 +139,7 @@ class TestOcclusion:
     def test_scores_match_test_against_every_layer(self):
         # The per-object reference: every later object and every occluder is
         # tested, overlapping or not.
-        from sftrack.synthetic import OccluderSpec, _gt_box, _occluded_fraction, _occluder_box
+        from sftrack.synthetic import OccluderSpec, _image_box, _occluded_fraction
         rng = np.random.default_rng(3)
         objects = [ObjectSpec(class_id=4, width=rng.uniform(4, 30), height=rng.uniform(4, 30),
                               x=rng.uniform(-10, 170), y=rng.uniform(-10, 130), path="linear",
@@ -153,8 +153,10 @@ class TestOcclusion:
         gt, dets, _m, w2i = build_annotations(spec)
         fractions = []
         for k, rows in gt.items():
-            boxes = [_gt_box(obj, k, w2i[k - 1]) for obj in spec.objects]
-            layers = boxes + [_occluder_box(occ, w2i[k - 1]) for occ in spec.occluders]
+            boxes = [_image_box(obj.center_at(k), obj.width, obj.height, w2i[k - 1])
+                     for obj in spec.objects]
+            layers = boxes + [_image_box((occ.x, occ.y), occ.width, occ.height, w2i[k - 1])
+                              for occ in spec.occluders]
             want = []
             for row in rows:
                 frac = _occluded_fraction(row.box, layers[row.obj_id:])
