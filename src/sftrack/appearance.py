@@ -201,10 +201,13 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
 
     Frames are 1-based, det_index is 0-based in detection-file order within
     the frame. Vectors are renormalized to unit norm; dimensions must agree
-    across the file. A frame below 1, a negative det_index, and a vector
-    with a non-finite value or norm raise ``ParseError`` naming file:line.
+    across the file. A frame below 1, a negative det_index, a vector with a
+    non-finite value or norm, and a second row for the same (frame,
+    det_index) raise ``ParseError`` naming file:line; for a duplicate it
+    also names the line of the first row.
     """
     out: dict[tuple[int, int], np.ndarray] = {}
+    first_line: dict[tuple[int, int], int] = {}
     dim: int | None = None
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -222,6 +225,11 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
         if frame < 1 or det_index < 0:
             raise ParseError(f"need frame >= 1 and det_index >= 0, got {frame},{det_index}",
                              str(path), lineno)
+        key = (frame, det_index)
+        if key in first_line:
+            raise ParseError(f"duplicate embedding for frame {frame}, det_index {det_index} "
+                             f"(first on line {first_line[key]})", str(path), lineno)
+        first_line[key] = lineno
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -232,7 +240,7 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
             raise ParseError("embedding vector has a non-finite value or norm", str(path), lineno)
         if norm == 0.0:
             raise ParseError("zero embedding vector cannot be normalized", str(path), lineno)
-        out[(frame, det_index)] = vec / norm
+        out[key] = vec / norm
     return out
 
 

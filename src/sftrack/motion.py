@@ -8,7 +8,9 @@ which serves both frame pairs it belongs to. Per frame pair:
   array rounds over the pairs of candidates closer than ``min_distance``;
 - they are tracked to the current frame with one forward pass of pyramidal
   Lucas-Kanade, whose window gradients are taken from the sampled template
-  window itself (Bouguet's form);
+  window itself (Bouguet's form); the current frame is read once per point
+  and pixel cell it enters, as four window sums that the point's bilinear
+  weights blend, not once per iteration;
 - a RANSAC fit of a similarity (uniform scale, rotation, translation),
   the only outlier filter, recovers the global transform from 2-point
   samples, drawing them until an all-inlier sample has been drawn with
@@ -281,10 +283,9 @@ def _sample_windows(img: np.ndarray, centers: np.ndarray) -> np.ndarray:
     column (row) of a window whose center lies within 0.001 px of the upper
     margin.
     """
-    # Most calls come from LK iterations on a few points, so the fixed
-    # cost counts: plain ufuncs for the clip, and as_strided for
-    # sliding_window_view without its argument checks (indexing the view
-    # checks the bounds).
+    # Plain ufuncs for the clip, and as_strided for sliding_window_view
+    # without its argument checks (indexing the view checks the bounds),
+    # keep the fixed cost per call low.
     h, w = img.shape
     px = np.minimum(np.maximum(centers[:, 0:1] + _WINDOW_STEPS, 0.0), w - 1.001)  # (N, W)
     py = np.minimum(np.maximum(centers[:, 1:2] + _WINDOW_STEPS, 0.0), h - 1.001)
@@ -310,6 +311,40 @@ def _sample_windows(img: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blend_weights(frac: np.ndarray) -> np.ndarray:
+    """Bilinear weights (N, 4) of a cell's four shifted windows, in the
+    column order of ``_cell_sums``, from each point's offset (fx, fy) (N, 2)
+    past its cell: (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx fy."""
+    fx, fy = frac[:, 0], frac[:, 1]
+    gx, gy = 1.0 - fx, 1.0 - fy
+    return np.column_stack([gx * gy, fx * gy, gx * fy, fx * fy])
+
+
+def _cell_sums(img: np.ndarray, weights: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Weighted sums of the four windows a bilinear LK window blends
+    -> (N, P, 4).
+
+    ``cells`` (N, 2) holds each point's integer cell (x, y), the top-left
+    corner of the (W+1, W+1) block B of ``img`` its window reads, and
+    ``weights`` (N, P, W*W) holds P weight images per point (LK passes its
+    two descent images). Column 2a + b holds the weighted sums of the
+    window B_ab = B[a:a+W, b:b+W], shifted a rows and b columns: one gather
+    per block and one batched matmul.
+    """
+    # The four windows are a strided view of the gathered block, copied in
+    # runs of W pixels.
+    n = len(cells)
+    h, w = img.shape
+    side = LK_WINDOW + 1
+    sy, sx = img.strides
+    block = as_strided(img, (h - LK_WINDOW, w - LK_WINDOW, side, side), (sy, sx, sy, sx),
+                       writeable=False)[cells[:, 1], cells[:, 0]]
+    sn, sy, sx = block.strides
+    windows = as_strided(block, (n, 2, 2, LK_WINDOW, LK_WINDOW), (sn, sy, sx, sy, sx),
+                         writeable=False).reshape(n, 4, LK_WINDOW * LK_WINDOW)
+    return weights @ windows.transpose(0, 2, 1)
+
+
 def track_features(prev: np.ndarray, cur: np.ndarray,
                    points: np.ndarray) -> FeatureTrackResult:
     """Pyramidal coarse-to-fine Lucas-Kanade refinement of sparse points.
@@ -317,7 +352,11 @@ def track_features(prev: np.ndarray, cur: np.ndarray,
     At each level a point's 21x21 template window is sampled once from the
     previous frame; its x and y gradients are ``np.gradient`` of that window
     (central differences inside it, one-sided on its border), as in
-    Bouguet's pyramidal LK, not samples of whole-image gradients.
+    Bouguet's pyramidal LK, not samples of whole-image gradients. The
+    current frame is read once per point and pixel cell it visits, as
+    window sums weighted by the template's descent images
+    (``_pyramidal_lk``), and once more at the finest level for the
+    residual.
 
     One forward pass; there is no backward re-track, since the RANSAC fit
     that consumes the pairs rejects outliers. Status goes false when the
@@ -342,7 +381,26 @@ def track_features(prev: np.ndarray, cur: np.ndarray,
 
 def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow (N, 2) and status (N,) of ``points`` from the previous to the
+    current pyramid, coarsest level first.
+
+    In the inverse-compositional form the template T, its gradients
+    (tx, ty) and their 2x2 matrix G are fixed per point and level, so a
+    step is sum(D * (T - I)) for the current window I, where the descent
+    images D = G^-1 [tx, ty] are precomputed. A window centred at p blends
+    one (W+1, W+1) block at the integer cell c = floor(p - W//2) with the
+    bilinear weights w_ab of f = p - W//2 - c, so the step is
+    sum(D * T) - sum_ab w_ab S_ab, and the window sums S_ab = sum(D * B_ab)
+    (``_cell_sums``) change only when a point enters a new cell: an
+    iteration inside the same cell reads no image data. The finest level's
+    residual, mean |T - I|, is sampled once per point, at the position whose
+    error decided its last step.
+
+    A centre within 0.001 px of the upper margin reads its window's last
+    column (row) unclipped, where ``_sample_windows`` clips it.
+    """
     radius = LK_WINDOW // 2
+    area = LK_WINDOW * LK_WINDOW
     n = len(points)
     flow = np.zeros((n, 2))
     alive = np.ones(n, dtype=bool)
@@ -382,51 +440,60 @@ def _pyramidal_lk(prev_pyr: list[np.ndarray], cur_pyr: list[np.ndarray],
         idx = idx[usable]
         if idx.size == 0:
             continue
-        # Per point, the template and its gradients and the gradient
-        # matrix, stacked so that dropping a point is one index.
-        win = np.stack([tmpl, tx, ty], axis=1)
-        coef = np.stack([gxx, gxy, gyy, det], axis=1)
         if not usable.all():
-            win, coef = win[usable], coef[usable]
+            tmpl, tx, ty = tmpl[usable], tx[usable], ty[usable]
+            gxx, gxy, gyy, det = gxx[usable], gxy[usable], gyy[usable], det[usable]
+        # Descent images D = G^-1 [tx, ty], and the template's side of the
+        # step, sum(D * T).
+        inverse = np.stack([gyy, -gxy, -gxy, gxx], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        descent = inverse @ np.stack([tx, ty], axis=1).reshape(-1, 2, area)
+        gain = (descent @ tmpl.reshape(-1, area, 1))[:, :, 0]
+        # Per point, its window sums and the cell they belong to, and where
+        # it stopped.
+        sums = np.empty((idx.size, 2, 4))
+        cell = np.full((idx.size, 2), -1)
+        stop_pos = np.full((idx.size, 2), np.nan)
 
         base = pl[idx]
         d = flow[idx] / scale
         upper = np.array([w - margin, h - margin])
-        # Rows of idx still iterating, with their windows and coefficients;
-        # converged and lost points drop out.
+        # Rows of idx still iterating; converged and lost points drop out.
         k = np.arange(idx.size)
         for it in range(LK_MAX_ITERATIONS):
             pos = base[k] + d[k]
             oob = ((pos < margin) | (pos >= upper)).any(axis=1)
             if oob.any():
                 alive[idx[k[oob]]] = False
-                keep = ~oob
-                k, pos, win, coef = k[keep], pos[keep], win[keep], coef[keep]
+                k, pos = k[~oob], pos[~oob]
                 if k.size == 0:
                     break
-            err = win[:, 0] - _sample_windows(img_c, pos)
-            bx = (err * win[:, 1]).sum(axis=(1, 2))
-            by = (err * win[:, 2]).sum(axis=(1, 2))
-            gxx, gxy, gyy, det = coef.T
-            dx = (gyy * bx - gxy * by) / det
-            dy = (gxx * by - gxy * bx) / det
-            d[k] += np.stack([dx, dy], axis=1)
-            moving = np.sqrt(dx * dx + dy * dy) >= LK_EPSILON
+            corner = pos - radius
+            c = corner.astype(int)  # floor: the corner is at least 1
+            entered = (c != cell[k]).any(axis=1)
+            if entered.any():
+                rows = k[entered]
+                cell[rows] = c[entered]
+                sums[rows] = _cell_sums(img_c, descent[rows], c[entered])
+            step = gain[k] - (sums[k] @ _blend_weights(corner - c)[:, :, None])[:, :, 0]
+            d[k] += step
+            moving = np.sqrt((step * step).sum(axis=1)) >= LK_EPSILON
             if it == LK_MAX_ITERATIONS - 1:
                 moving[:] = False  # the last iteration stops every point
             if not moving.all():
-                if level == 0:
-                    # Only the finest level's residual is read, from the
-                    # iteration where a point stops.
-                    stops = ~moving
-                    residual[idx[k[stops]]] = np.abs(err[stops]).mean(axis=(1, 2))
-                k, win, coef = k[moving], win[moving], coef[moving]
+                stop_pos[k[~moving]] = pos[~moving]
+                k = k[moving]
                 if k.size == 0:
                     break
 
         diverged = np.abs(d - flow[idx] / scale).max(axis=1) > LK_WINDOW
         alive[idx[diverged]] = False
         flow[idx] = d * scale
+        if level == 0:
+            # Only the finest level's residual is read; points that left the
+            # image did not stop and have none.
+            stopped = ~np.isnan(stop_pos[:, 0])
+            warped = _sample_windows(img_c, stop_pos[stopped])
+            residual[idx[stopped]] = np.abs(tmpl[stopped] - warped).mean(axis=(1, 2))
 
     alive &= residual <= LK_MAX_RESIDUAL
     return flow, alive

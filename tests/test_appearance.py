@@ -343,6 +343,17 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match="2"):
             ap.load_embeddings(p)
 
+    def test_duplicate_row_names_both_lines(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("1,0,1,0\n2,0,1,0\n1,0,0,1\n")
+        with pytest.raises(ParseError, match=r"e\.txt:3: .*first on line 1"):
+            ap.load_embeddings(p)
+
+    def test_same_det_index_in_other_frames_kept(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("1,0,1,0\n2,0,0,1\n1,1,0,1\n")
+        assert set(ap.load_embeddings(p)) == {(1, 0), (2, 0), (1, 1)}
+
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("1,0,1,0\nbad,row,x,y\n")

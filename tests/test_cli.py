@@ -155,8 +155,9 @@ class TestTrack:
                          "--out", str(out)]) == 0
         assert {line.split(",")[0] for line in out.read_text().splitlines()} >= {"1", "2"}
 
-    @pytest.mark.parametrize("row", ["1,1,nan,1", "1,0,inf,0", "0,0,1,0", "1,-1,1,0"],
-                             ids=["nan", "inf", "frame_0", "det_index_negative"])
+    @pytest.mark.parametrize("row", ["1,1,nan,1", "1,0,inf,0", "0,0,1,0", "1,-1,1,0",
+                                     "1,0,0,1"],
+                             ids=["nan", "inf", "frame_0", "det_index_negative", "duplicate"])
     def test_bad_embeddings_row_exit_2(self, tiny_seq, tmp_path, capsys, row):
         emb = tmp_path / "emb.txt"
         emb.write_text(f"1,0,1,0\n{row}\n")

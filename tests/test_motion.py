@@ -5,8 +5,9 @@ import pytest
 
 from sftrack import kalman, motion, synthetic
 from sftrack.io_formats import load_sequence
-from sftrack.motion import (LK_WINDOW, MC_DOWNSCALE, RANSAC_ITERATIONS, AffineTransform2D,
-                            apply_to_track, detect_features, downscale,
+from sftrack.motion import (LK_EPSILON, LK_LEVELS, LK_MAX_ITERATIONS, LK_MAX_RESIDUAL,
+                            LK_MIN_EIG, LK_WINDOW, MC_DOWNSCALE, RANSAC_ITERATIONS,
+                            AffineTransform2D, apply_to_track, detect_features, downscale,
                             estimate_affine, estimate_camera_motion, motion_gray,
                             rgb_to_gray, track_features)
 
@@ -329,6 +330,278 @@ class TestTrackFeatures:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             track_features(np.zeros((10, 10)), np.zeros((12, 10)), np.zeros((0, 2)))
+
+
+def pyramidal_lk_per_iteration(prev_pyr, cur_pyr, points):
+    """Reference pyramidal LK that samples each point's window from the
+    current image on every iteration and forms the right-hand side from it,
+    as ``motion._pyramidal_lk`` did before it read per-cell window sums."""
+    radius = LK_WINDOW // 2
+    n = len(points)
+    flow = np.zeros((n, 2))
+    alive = np.ones(n, dtype=bool)
+    residual = np.zeros(n)
+
+    for level in range(LK_LEVELS - 1, -1, -1):
+        scale = 2.0 ** level
+        img_p = prev_pyr[level]
+        img_c = cur_pyr[level]
+        h, w = img_p.shape
+        pl = points / scale
+
+        margin = radius + 1.0
+        in_bounds = ((pl[:, 0] >= margin) & (pl[:, 0] < w - margin)
+                     & (pl[:, 1] >= margin) & (pl[:, 1] < h - margin))
+        if level == 0:
+            # Points whose window does not fit the finest level never get a
+            # measurement there; they cannot be trusted.
+            alive &= in_bounds
+        active = alive & in_bounds
+        if not active.any():
+            continue
+
+        idx = np.nonzero(active)[0]
+        tmpl = motion._sample_windows(img_p, pl[idx])
+        # Gradients of the template window itself (Bouguet): central
+        # differences inside it, one-sided on its border.
+        ty, tx = np.gradient(tmpl, axis=(1, 2))
+        gxx = (tx * tx).sum(axis=(1, 2))
+        gxy = (tx * ty).sum(axis=(1, 2))
+        gyy = (ty * ty).sum(axis=(1, 2))
+        det = gxx * gyy - gxy * gxy
+        trace = gxx + gyy
+        min_eig = 0.5 * (trace - np.sqrt((gxx - gyy) ** 2 + 4.0 * gxy * gxy))
+        usable = (det > 1e-12) & (min_eig / (LK_WINDOW * LK_WINDOW) > LK_MIN_EIG)
+        alive[idx[~usable]] = False
+        idx = idx[usable]
+        if idx.size == 0:
+            continue
+        # Per point, the template and its gradients and the gradient
+        # matrix, stacked so that dropping a point is one index.
+        win = np.stack([tmpl, tx, ty], axis=1)
+        coef = np.stack([gxx, gxy, gyy, det], axis=1)
+        if not usable.all():
+            win, coef = win[usable], coef[usable]
+
+        base = pl[idx]
+        d = flow[idx] / scale
+        upper = np.array([w - margin, h - margin])
+        # Rows of idx still iterating, with their windows and coefficients;
+        # converged and lost points drop out.
+        k = np.arange(idx.size)
+        for it in range(LK_MAX_ITERATIONS):
+            pos = base[k] + d[k]
+            oob = ((pos < margin) | (pos >= upper)).any(axis=1)
+            if oob.any():
+                alive[idx[k[oob]]] = False
+                keep = ~oob
+                k, pos, win, coef = k[keep], pos[keep], win[keep], coef[keep]
+                if k.size == 0:
+                    break
+            err = win[:, 0] - motion._sample_windows(img_c, pos)
+            bx = (err * win[:, 1]).sum(axis=(1, 2))
+            by = (err * win[:, 2]).sum(axis=(1, 2))
+            gxx, gxy, gyy, det = coef.T
+            dx = (gyy * bx - gxy * by) / det
+            dy = (gxx * by - gxy * bx) / det
+            d[k] += np.stack([dx, dy], axis=1)
+            moving = np.sqrt(dx * dx + dy * dy) >= LK_EPSILON
+            if it == LK_MAX_ITERATIONS - 1:
+                moving[:] = False  # the last iteration stops every point
+            if not moving.all():
+                if level == 0:
+                    # Only the finest level's residual is read, from the
+                    # iteration where a point stops.
+                    stops = ~moving
+                    residual[idx[k[stops]]] = np.abs(err[stops]).mean(axis=(1, 2))
+                k, win, coef = k[moving], win[moving], coef[moving]
+                if k.size == 0:
+                    break
+
+        diverged = np.abs(d - flow[idx] / scale).max(axis=1) > LK_WINDOW
+        alive[idx[diverged]] = False
+        flow[idx] = d * scale
+
+    alive &= residual <= LK_MAX_RESIDUAL
+    return flow, alive
+
+
+def preset_pair(presets, name, k):
+    """Motion grays of frames k and k + 1 of a preset."""
+    sequence = load_sequence(presets.generation(name).directory)
+    return motion_gray(sequence.read_frame(k)), motion_gray(sequence.read_frame(k + 1))
+
+
+def visits_upper_band(prev_pyr, cur_pyr, point):
+    """Whether the reference LK of one point samples the current image at a
+    centre within 0.001 px below the upper margin, where ``_sample_windows``
+    clips the window's last column (row) and the cell sums do not."""
+    centers = []
+    sample = motion._sample_windows
+
+    def recording(img, c):
+        if any(img is im for im in cur_pyr):
+            upper = np.array(img.shape[::-1]) - (LK_WINDOW // 2 + 1.0)
+            centers.append(upper - c)
+        return sample(img, c)
+
+    motion._sample_windows = recording
+    try:
+        pyramidal_lk_per_iteration(prev_pyr, cur_pyr, point)
+    finally:
+        motion._sample_windows = sample
+    gaps = np.concatenate(centers)
+    return bool(((gaps > 0) & (gaps <= 0.001)).any())
+
+
+def assert_lk_matches_per_iteration(prev, cur, points):
+    """Same status as the per-iteration reference, and flows within 1e-9 px
+    but for points whose iterations visit the 0.001 px band at the upper
+    margin (within 1e-3 px there). Tolerances, not bytes: the batched
+    matmul may round differently across BLAS builds."""
+    prev_pyr, cur_pyr = motion._pyramid(prev), motion._pyramid(cur)
+    flow, alive = motion._pyramidal_lk(prev_pyr, cur_pyr, points)
+    want_flow, want_alive = pyramidal_lk_per_iteration(prev_pyr, cur_pyr, points)
+    assert np.array_equal(alive, want_alive)
+    error = np.abs(flow - want_flow).max(axis=1)
+    for i in np.flatnonzero(error > 1e-9):
+        assert visits_upper_band(prev_pyr, cur_pyr, points[i:i + 1]), (i, error[i])
+        assert error[i] <= 1e-3
+    return alive
+
+
+def cell_window(img, center):
+    """The W x W window at ``center`` as the cell sums blend it: unit
+    weight images pick out every pixel of the four shifted windows."""
+    corner = np.asarray(center, dtype=float)[None] - LK_WINDOW // 2
+    cell = corner.astype(int)
+    shifted = motion._cell_sums(img, np.eye(LK_WINDOW * LK_WINDOW)[None], cell)
+    return (shifted[0] @ motion._blend_weights(corner - cell)[0]).reshape(LK_WINDOW, LK_WINDOW)
+
+
+class CountingCalls:
+    """Wraps a function and records the first argument and the row count
+    of the ``rows_arg``-th argument of every call."""
+
+    def __init__(self, func, rows_arg):
+        self.func, self.rows_arg, self.calls = func, rows_arg, []
+
+    def __call__(self, *args):
+        self.calls.append((args[0], len(args[self.rows_arg])))
+        return self.func(*args)
+
+    def rows(self, images=None):
+        return sum(n for img, n in self.calls
+                   if images is None or any(img is im for im in images))
+
+
+class TestCellSumLK:
+    """``_pyramidal_lk`` reads per-cell window sums; the reference samples
+    the current image on every iteration."""
+
+    @pytest.mark.parametrize("k", range(1, 100, 9))
+    def test_fast_camera_pairs_equal_reference(self, presets, k):
+        prev, cur = preset_pair(presets, "fast_camera", k)
+        points = detect_features(prev)
+        alive = assert_lk_matches_per_iteration(prev, cur, points)
+        assert alive.mean() > 0.5
+
+    @pytest.mark.parametrize("name", ["baseline", "small_objects", "occlusion"])
+    def test_static_presets_first_pair_equal_reference(self, presets, name):
+        prev, cur = preset_pair(presets, name, 1)
+        assert_lk_matches_per_iteration(prev, cur, detect_features(prev))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shifted_and_rotated_texture_equal_reference(self, seed):
+        from scipy import ndimage
+        rng = np.random.default_rng(seed)
+        img = textured((150, 200), seed=20 + seed)
+        angle = np.deg2rad(rng.uniform(-3.0, 3.0))
+        shift = rng.uniform(-6.0, 6.0, size=2)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        centre = np.array([75.0, 100.0])
+        # ndimage maps output (row, col) to input rot @ out + offset.
+        moved = ndimage.affine_transform(img, rot, offset=centre - rot @ (centre + shift),
+                                         order=1, mode="nearest")
+        points = detect_features(img, max_count=80, min_distance=6)
+        assert_lk_matches_per_iteration(img, moved, points)
+
+    def test_point_crossing_several_cells(self, monkeypatch):
+        img = textured((160, 200), seed=7)
+        moved = np.roll(np.roll(img, 5, axis=0), -7, axis=1)  # -7 x, +5 y
+        point = np.array([[100.0, 80.0]])
+        counter = CountingCalls(motion._cell_sums, 2)
+        monkeypatch.setattr(motion, "_cell_sums", counter)
+        alive = assert_lk_matches_per_iteration(img, moved, point)
+        assert alive[0]
+        # One gather per level for the first iteration; the rest are cells
+        # the point entered.
+        assert len(counter.calls) - LK_LEVELS >= 3
+
+    def test_point_running_all_iterations(self, presets, monkeypatch):
+        prev, cur = preset_pair(presets, "fast_camera", 1)
+        point = detect_features(prev)[104:105]
+        cur_pyr = motion._pyramid(cur)
+        counter = CountingCalls(motion._sample_windows, 1)
+        monkeypatch.setattr(motion, "_sample_windows", counter)
+        pyramidal_lk_per_iteration(motion._pyramid(prev), cur_pyr, point)
+        assert counter.rows([cur_pyr[0]]) == LK_MAX_ITERATIONS
+        assert assert_lk_matches_per_iteration(prev, cur, point)[0]
+
+    def test_cell_window_equals_sampled_window(self):
+        rng = np.random.default_rng(8)
+        img = rng.uniform(0.0, 255.0, size=(60, 80))
+        margin = LK_WINDOW // 2 + 1.0
+        centers = np.column_stack([rng.uniform(margin, 80 - margin - 0.001, 40),
+                                   rng.uniform(margin, 60 - margin - 0.001, 40)])
+        centers[0] = (30.0, 20.0)  # whole-pixel centre
+        sampled = motion._sample_windows(img, centers)
+        for center, want in zip(centers, sampled):
+            assert np.abs(cell_window(img, center) - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_upper_band_deviation_bounded_by_gradient(self, axis):
+        # A centre within 0.001 px below the upper margin: _sample_windows
+        # clips the window's last column (row), the cell sums do not.
+        rng = np.random.default_rng(9 + axis)
+        img = rng.uniform(0.0, 255.0, size=(60, 80))
+        upper = np.array([80.0, 60.0]) - (LK_WINDOW // 2 + 1.0)
+        for gap in (1e-12, 1e-6, 2.5e-4, 9.99e-4):
+            center = np.array([35.3, 27.6])
+            center[axis] = upper[axis] - gap
+            got = cell_window(img, center)
+            want = motion._sample_windows(img, center[None])[0]
+            c = (center - LK_WINDOW // 2).astype(int)
+            block = img[c[1]:c[1] + LK_WINDOW + 1, c[0]:c[0] + LK_WINDOW + 1]
+            largest = max(np.abs(np.diff(block, axis=0)).max(),
+                          np.abs(np.diff(block, axis=1)).max())
+            assert np.abs(got - want).max() <= 0.001 * largest
+            # Only the clipped column (row) moves.
+            inner = (slice(None), slice(0, -1)) if axis == 0 else (slice(0, -1), slice(None))
+            assert np.abs(got[inner] - want[inner]).max() <= 1e-9
+
+    def test_current_frame_read_per_cell_not_per_iteration(self, presets, monkeypatch):
+        prev, cur = preset_pair(presets, "fast_camera", 10)
+        points = detect_features(prev)
+        prev_pyr, cur_pyr = motion._pyramid(prev), motion._pyramid(cur)
+        sampler = CountingCalls(motion._sample_windows, 1)
+        monkeypatch.setattr(motion, "_sample_windows", sampler)
+        pyramidal_lk_per_iteration(prev_pyr, cur_pyr, points)
+        reference_windows = sampler.rows(cur_pyr)
+
+        sampler.calls.clear()
+        cells = CountingCalls(motion._cell_sums, 2)
+        monkeypatch.setattr(motion, "_cell_sums", cells)
+        _, alive = motion._pyramidal_lk(prev_pyr, cur_pyr, points)
+        assert 0 < cells.rows() < reference_windows
+        # The current frame is sampled once, for the finest level's residual
+        # of the points that stopped there.
+        reads = [(img, n) for img, n in sampler.calls if any(img is im for im in cur_pyr)]
+        assert len(reads) == 1 and reads[0][0] is cur_pyr[0]
+        assert alive.sum() <= reads[0][1] <= len(points)
+        # Templates: one sample of the previous frame per level.
+        assert len(sampler.calls) == LK_LEVELS + 1
 
 
 def similarity_lstsq(src, dst):
