@@ -1,10 +1,12 @@
 """Hand-crafted appearance cues and the pluggable embedding provider.
 
-Every cue of a detection comes from one crop, taken once per frame
-(:func:`detection_cues`). The embedding is computed eagerly, because the
-first association stage and the rho gate read it; the histogram and the MSE
-patch are computed on first read, so only second-stage candidates pay for
-them.
+A detection's appearance in a frame is one :class:`Cues` record, made from
+one copy of the pixels under its box (:func:`detection_cues`); a matched or
+newly started track keeps the record of its detection as its memory. The
+color histogram is computed on first read and then kept, so only
+second-stage candidates pay for it and a track reuses the one its
+second-stage match computed. The MSE patch is computed on each read.
+Embeddings are not part of the record: the tracker keeps them as columns.
 Color histograms use HIST_BINS equal-width intensity levels per RGB channel
 (0-31, 32-63, ..., 224-255).
 Histogram similarity is one minus the mean per-channel Hellinger distance.
@@ -117,8 +119,8 @@ def resize_bilinear(crop: np.ndarray, size: tuple[int, int]) -> np.ndarray:
 
 def patch_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1 - MSE / 255^2, row by row over (n, h, w, 3) stacks of resized
-    patches of any float dtype; computed in float64."""
-    mse = ((a.astype(np.float64) - b) ** 2).mean(axis=(1, 2, 3))
+    patches."""
+    mse = ((a - b) ** 2).mean(axis=(1, 2, 3))
     return 1.0 - mse / (255.0 ** 2)
 
 
@@ -246,73 +248,36 @@ def load_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
 
 @dataclass(eq=False)
 class Cues:
-    """One detection's appearance in one frame, all taken from a single crop.
+    """One detection's appearance in one frame, from its own copy of the
+    pixels under its box; a track keeps the record of the last detection it
+    matched that had a crop.
 
-    ``crop`` is a view into the frame, None when the box is empty after
-    clamping to the frame. ``histogram`` and ``patch`` (float64) are
-    computed on first read and then kept; both are None without a crop.
-    Nothing assigns to a record after it is made. It is not a frozen
-    dataclass because a frozen ``__init__`` costs about three times as
-    much, and every detection of every frame makes one.
+    ``crop`` is None when the box is empty after clamping to the frame. It
+    is a copy, so no record keeps a frame alive. ``histogram`` is computed on
+    first read and then kept. ``patch`` (float64) is resized from the crop
+    on each read and not kept: at 24 KiB it is many times a small target's
+    crop, and most tracks would hold it through frames in which nothing
+    reads it. Both are None without a crop. Nothing assigns to a record
+    after it is made. It is not a frozen dataclass because a frozen
+    ``__init__`` costs about three times as much, and every detection of
+    every frame makes one.
     """
 
     crop: np.ndarray | None = field(repr=False)
-    embedding: np.ndarray | None = field(repr=False)
 
     @cached_property
     def histogram(self) -> np.ndarray | None:
         return None if self.crop is None else color_histogram(self.crop)
 
-    @cached_property
+    @property
     def patch(self) -> np.ndarray | None:
         return None if self.crop is None else resize_bilinear(self.crop, PATCH_SIZE)
 
 
-def detection_cues(frame: np.ndarray, box: BoundingBox, embedding: np.ndarray | None = None,
-                   fallback: bool = False) -> Cues:
-    """Crop once; when ``embedding`` is None and ``fallback`` is on, derive
-    the hand-crafted embedding from the crop. The histogram and the patch
-    follow from the same crop when read."""
+def detection_cues(frame: np.ndarray, box: BoundingBox) -> Cues:
+    """The cues of the detection at ``box``, from one copy of its crop."""
     crop = extract_crop(frame, box)
-    if embedding is None and fallback:
-        embedding = fallback_embedding(crop)
-    return Cues(crop, embedding)
-
-
-@dataclass
-class AppearanceMemory:
-    """Per-track appearance: a copy of the last matched detection's crop.
-    The running embedding is a row of the tracker's embedding table (see
-    :func:`update_embeddings`).
-
-    The copy keeps no frame alive. ``histogram`` and ``patch`` are computed
-    from it on first read and then kept. Its crop is never replaced: a new
-    match makes a new memory. The patch is float32: it is the bulk of a
-    track's memory, and similarities are computed from it in float64.
-    """
-
-    crop: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_cues(cls, cues: Cues) -> AppearanceMemory:
-        """A memory of ``cues``' crop that takes over the histogram a
-        second-stage match already computed. The detection's patch is not
-        taken over: at 12 KiB it is about 20x a typical crop, and most
-        tracks would hold it through frames in which nothing reads it."""
-        memory = cls(None if cues.crop is None else cues.crop.copy())
-        if "histogram" in cues.__dict__:
-            memory.__dict__["histogram"] = cues.histogram
-        return memory
-
-    @cached_property
-    def histogram(self) -> np.ndarray | None:
-        return None if self.crop is None else color_histogram(self.crop)
-
-    @cached_property
-    def patch(self) -> np.ndarray | None:
-        if self.crop is None:
-            return None
-        return resize_bilinear(self.crop, PATCH_SIZE).astype(np.float32)
+    return Cues(None if crop is None else crop.copy())
 
 
 def update_embeddings(table: np.ndarray, has: np.ndarray, rows: np.ndarray,

@@ -72,17 +72,16 @@ class Columns:
 
     ``boxes`` are (n, 4) left, top, right, bottom; ``class_ids`` (n,);
     ``embeddings`` (n, D), of which only the rows where ``has_embedding``
-    (n,) is set are read. ``cues`` holds each row's crop cues, read for
-    their ``histogram`` and ``patch`` by the second stage: the tracker's
-    ``AppearanceMemory`` per row for tracks, a ``Cues`` record per
-    detection.
+    (n,) is set are read. ``cues`` holds each row's ``appearance.Cues``,
+    read for its ``histogram`` and ``patch`` by the second stage: a
+    detection's own, or for a track those of the detection it last matched.
     """
 
     boxes: np.ndarray
     class_ids: np.ndarray
     embeddings: np.ndarray
     has_embedding: np.ndarray
-    cues: Sequence
+    cues: Sequence[appearance.Cues]
 
     def __len__(self) -> int:
         return len(self.class_ids)
@@ -97,7 +96,7 @@ class Columns:
 
 def _stack(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> np.ndarray:
     """Rows stacked into one array, with zeros for the missing (None) ones."""
-    blank = np.zeros(shape, dtype=np.float32)  # upcast by float64 rows
+    blank = np.zeros(shape)
     return np.stack([blank if r is None else r for r in rows])
 
 

@@ -443,11 +443,24 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> GenerationResult:
 # Spec files
 
 _TUPLE_KEYS = {"color"}
+# The values a spec file may give each named-choice key.
+_CHOICES = {
+    (ObjectSpec, "path"): ("static", "linear", "sinusoidal"),
+    (CameraSpec, "pattern"): ("static", "linear", "sinusoid", "zigzag"),
+}
 
 
 def _coerce(dc_type, key: str, raw: str):
+    """``raw`` parsed as the value of ``key``; ValueError for a value that
+    ``generate`` could not render."""
+    choices = _CHOICES.get((dc_type, key))
+    if choices is not None and raw not in choices:
+        raise ValueError(raw)
     if key in _TUPLE_KEYS:
-        return tuple(int(p.strip()) for p in raw.split(","))
+        color = tuple(int(p.strip()) for p in raw.split(","))
+        if len(color) != 3 or not all(0 <= c <= 255 for c in color):
+            raise ValueError(raw)
+        return color
     hints = {f.name: f.type for f in dc_fields(dc_type)}
     ann = str(hints[key])
     if "int" in ann and "tuple" not in ann:

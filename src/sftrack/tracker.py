@@ -3,10 +3,10 @@ two-stage association, lifecycle management, and both initiation paths.
 
 One frame step runs, in order:
 
-1. drop detections with zero width or height, take each remaining one's
-   appearance cues from a single crop, and split them at the confidence
-   threshold (strictly greater goes high);
-2. Kalman-predict every live track, then apply the scale-constrained camera
+1. drop detections with zero width or height, make each remaining one's
+   appearance cues from one copy of its crop, pick its embedding, and split
+   them at the confidence threshold (strictly greater goes high);
+2. Kalman-predict every live track, then apply the camera similarity
    transform when motion compensation is on, each as one call over the
    stacked state of all live tracks;
 3. first association of all live tracks against high detections
@@ -105,17 +105,18 @@ class FrameResult:
     diagnostics: FrameDiagnostics
 
 
-def _detection_columns(dets: list[Detection], cues: list[appearance.Cues],
+def _detection_columns(dets: list[Detection], embeddings: list[np.ndarray | None],
+                       cues: list[appearance.Cues],
                        width: int) -> tuple[np.ndarray, association.Columns]:
     """The (n, 4) left, top, width, height boxes of ``dets`` and their
     association columns, with embeddings ``width`` wide."""
     boxes = box_array([d.box for d in dets])
-    has = np.array([c.embedding is not None for c in cues], dtype=bool)
-    embeddings = np.zeros((len(dets), width))
+    has = np.array([e is not None for e in embeddings], dtype=bool)
+    table = np.zeros((len(dets), width))
     if has.any():
-        embeddings[has] = [c.embedding for c in cues if c.embedding is not None]
+        table[has] = [e for e in embeddings if e is not None]
     class_ids = np.array([d.class_id for d in dets], dtype=int)
-    return boxes, association.Columns(corners(boxes), class_ids, embeddings, has, cues)
+    return boxes, association.Columns(corners(boxes), class_ids, table, has, cues)
 
 
 class Tracker:
@@ -131,7 +132,8 @@ class Tracker:
     consecutive misses (``miss_counts``; 0 while active, more while lost),
     its stacked Kalman state (``kalman_state``), its class (``class_ids``),
     its running embedding (``track_embeddings``, read only where
-    ``has_embedding`` is set) and its crop memory (``memories``).
+    ``has_embedding`` is set) and the ``appearance.Cues`` of the last
+    detection it matched that had a crop (``memories``).
     """
 
     def __init__(self, config: TrackerConfig | None = None,
@@ -150,7 +152,7 @@ class Tracker:
         self.class_ids = np.empty(0, dtype=int)
         self.track_embeddings = np.empty((0, width))
         self.has_embedding = np.empty(0, dtype=bool)
-        self.memories: list[appearance.AppearanceMemory] = []
+        self.memories: list[appearance.Cues] = []
         self._next_id = 1
         self._last_frame_index: int | None = None
         # The previous frame's motion_gray image; only motion compensation
@@ -189,27 +191,28 @@ class Tracker:
             for _ in range(skipped if len(track_ids) else 0):
                 kalman_state = kalman.predict(kalman_state)
 
-        # Kept detections split at tau, and their cues in the same order.
-        d_high: list[Detection] = []
-        d_low: list[Detection] = []
-        c_high, c_low = [], []
-        n_degenerate = 0
-        for j, det in enumerate(detections):
-            if det.box.is_degenerate:
-                n_degenerate += 1
-                continue
-            embedding = None if self.embeddings is None else self.embeddings.get((frame_index, j))
-            cues = appearance.detection_cues(image, det.box, embedding, fallback=self._fallback)
-            is_high = det.score > cfg.tau
-            (d_high if is_high else d_low).append(det)
-            (c_high if is_high else c_low).append(cues)
+        # Rows of the detection columns: the kept high detections, then the
+        # kept low ones, each with its file index.
+        kept = [(j, det) for j, det in enumerate(detections) if not det.box.is_degenerate]
+        n_degenerate = len(detections) - len(kept)
         if n_degenerate:
             log.warning("frame %d: dropped %d detection(s) with zero width or height",
                         frame_index, n_degenerate)
-        # Rows of the detection columns: the high detections, then the low.
-        n_high = len(d_high)
-        dets, det_cues = d_high + d_low, c_high + c_low
-        det_boxes, det_cols = _detection_columns(dets, det_cues, track_embeddings.shape[1])
+        high_rows = [(j, det) for j, det in kept if det.score > cfg.tau]
+        kept = high_rows + [(j, det) for j, det in kept if not det.score > cfg.tau]
+        n_high = len(high_rows)
+        dets = [det for _, det in kept]
+        det_cues = [appearance.detection_cues(image, det.box) for det in dets]
+        # Each detection's embedding: its row of the table, else the
+        # hand-crafted descriptor when the fallback is on, else none.
+        if self.embeddings is not None:
+            det_embeddings = [self.embeddings.get((frame_index, j)) for j, _ in kept]
+        elif self._fallback:
+            det_embeddings = [appearance.fallback_embedding(c.crop) for c in det_cues]
+        else:
+            det_embeddings = [None] * len(dets)
+        det_boxes, det_cols = _detection_columns(dets, det_embeddings, det_cues,
+                                                 track_embeddings.shape[1])
         high, low = det_cols.take(slice(0, n_high)), det_cols.take(slice(n_high, None))
 
         # Predict, then compensate camera motion, over the stacked state of
@@ -255,12 +258,13 @@ class Tracker:
         if mix.any():
             embeddings, has = appearance.update_embeddings(
                 embeddings, has, rows[mix], det_cols.embeddings[matched[mix]])
-        # A matched track remembers the detection's crop; a detection
-        # without one leaves the track's memory as it was.
+        # A matched track keeps the detection's cues, with any histogram the
+        # second stage computed; a detection without a crop leaves the
+        # track's memory as it was.
         memories = list(track_memories)
         for row, j in zip(rows.tolist(), matched.tolist()):
             if det_cues[j].crop is not None:
-                memories[row] = appearance.AppearanceMemory.from_cues(det_cues[j])
+                memories[row] = det_cues[j]
 
         # Lifecycle: matched tracks have no misses, the others one more, and
         # a track whose misses reach the grace period leaves with its row of
@@ -291,7 +295,7 @@ class Tracker:
         class_ids = np.concatenate([class_ids, det_cols.class_ids[born]])
         embeddings = np.concatenate([embeddings, det_cols.embeddings[born]])
         has = np.concatenate([has, det_cols.has_embedding[born]])
-        memories += [appearance.AppearanceMemory.from_cues(det_cues[j]) for j in born]
+        memories += [det_cues[j] for j in born]
 
         reported = track_ids[rows].tolist() + new_ids.tolist()
         outputs = [(tid, dets[j].class_id, dets[j].box, dets[j].score)
@@ -305,7 +309,7 @@ class Tracker:
         self._last_frame_index = frame_index
         self._prev_gray = gray
         return FrameResult(frame_index, outputs, FrameDiagnostics(
-            n_high=n_high, n_low=len(d_low),
+            n_high=n_high, n_low=len(dets) - n_high,
             n_matched_first=len(first.matches), n_matched_second=len(second.matches),
             n_new_high=n_new_high, n_new_low=len(born) - n_new_high,
             n_removed=n_removed, n_degenerate=n_degenerate,

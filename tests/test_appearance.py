@@ -371,7 +371,7 @@ class TestLoadEmbeddings:
             ap.load_embeddings(p)
 
 
-class TestAppearanceMemory:
+class TestUpdateEmbeddings:
     def test_ema_stays_unit(self):
         # A track's running embedding is a row of the embedding table.
         rng = np.random.default_rng(2)
@@ -384,58 +384,45 @@ class TestAppearanceMemory:
         assert has.tolist() == [False, True, False]
         assert not table[[0, 2]].any()
 
-    def test_patch_stored_as_float32(self):
-        frame = solid(10, 20, 30)
-        cues = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
-        mem = ap.AppearanceMemory.from_cues(cues)
-        assert cues.patch.dtype == np.float64
-        assert mem.patch.dtype == np.float32
-        assert np.array_equal(mem.histogram, cues.histogram)
+
+def counted(monkeypatch, name: str) -> list:
+    """One entry per call of ``ap.<name>`` from here on."""
+    calls = []
+    real = getattr(ap, name)
+    monkeypatch.setattr(ap, name, lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 class TestLazyCues:
     def test_computed_on_first_read_and_kept(self, monkeypatch):
-        calls = []
-        real = ap.resize_bilinear
-        monkeypatch.setattr(ap, "resize_bilinear",
-                            lambda *args: calls.append(1) or real(*args))
+        # The histogram: a track keeps the one its second-stage match read.
+        calls = counted(monkeypatch, "color_histogram")
         cues = ap.detection_cues(solid(10, 20, 30), BoundingBox(0, 0, 8, 8))
         assert calls == []
-        assert cues.patch is cues.patch
+        assert cues.histogram is cues.histogram
         assert len(calls) == 1
+
+    def test_patch_recomputed_on_each_read(self, monkeypatch):
+        # The patch is not kept: it would be most of what a track holds.
+        calls = counted(monkeypatch, "resize_bilinear")
+        cues = ap.detection_cues(solid(10, 20, 30), BoundingBox(0, 0, 8, 8))
+        assert calls == []
+        first = cues.patch
+        assert first.dtype == np.float64
+        assert np.array_equal(cues.patch, first) and cues.patch is not first
+        assert len(calls) == 3
+        assert "patch" not in vars(cues)
 
     def test_no_crop_no_cues(self):
         cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(20, 20, 4, 4))
         assert cues.crop is None and cues.histogram is None and cues.patch is None
 
     def test_memory_keeps_a_copy_of_the_crop(self):
+        # The record a track keeps as its memory pins no frame.
         frame = solid(10, 20, 30)
         cues = ap.detection_cues(frame, BoundingBox(0, 0, 4, 4))
-        assert np.shares_memory(cues.crop, frame)
-        mem = ap.AppearanceMemory.from_cues(cues)
-        assert np.array_equal(mem.crop, cues.crop)
-        assert not np.shares_memory(mem.crop, frame)
-
-    def test_memory_takes_over_only_a_computed_histogram(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        frame = rng.integers(0, 256, size=(20, 20, 3)).astype(np.uint8)
-        read = ap.detection_cues(frame, BoundingBox(0, 0, 8, 8))
-        histogram = read.histogram
-        unread = ap.detection_cues(frame, BoundingBox(10, 10, 8, 8))
-        calls = []
-        real = ap.color_histogram
-        monkeypatch.setattr(ap, "color_histogram", lambda crop: calls.append(1) or real(crop))
-        assert ap.AppearanceMemory.from_cues(read).histogram is histogram
-        assert calls == []
-        mem = ap.AppearanceMemory.from_cues(unread)
-        assert "histogram" not in unread.__dict__
-        assert np.array_equal(mem.histogram, real(unread.crop))
-        assert calls == [1]
-        # The patch is always the memory's own, from its copy of the crop.
-        assert np.array_equal(mem.patch, unread.patch.astype(np.float32))
-        # Without a crop there is nothing to remember.
-        empty = ap.AppearanceMemory.from_cues(ap.detection_cues(frame, BoundingBox(30, 30, 4, 4)))
-        assert empty.crop is None and empty.histogram is None and empty.patch is None
+        assert np.array_equal(cues.crop, frame[:4, :4])
+        assert not np.shares_memory(cues.crop, frame)
 
 
 class TestDetectionCues:
@@ -444,12 +431,7 @@ class TestDetectionCues:
         frame = rng.integers(0, 256, size=(30, 40, 3)).astype(np.uint8)
         box = BoundingBox(5, 6, 12, 9)
         crop = ap.extract_crop(frame, box)
-        cues = ap.detection_cues(frame, box, fallback=True)
+        cues = ap.detection_cues(frame, box)
         assert np.array_equal(cues.histogram, ap.color_histogram(crop))
         assert np.array_equal(cues.patch, ap.resize_bilinear(crop, ap.PATCH_SIZE))
-        assert np.array_equal(cues.embedding, ap.fallback_embedding(crop))
-
-    def test_given_embedding_wins_over_fallback(self):
-        e = np.array([0.6, 0.8])
-        cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(0, 0, 4, 4), e, fallback=True)
-        assert cues.embedding is e
+        assert np.array_equal(cues.crop, crop)

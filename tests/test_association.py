@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sftrack import appearance as ap
 from sftrack.association import (FORBIDDEN, IOU_GATE, Assignment, Columns, build_stage_matrix,
                                  hungarian, low_init_allowed)
-from sftrack.appearance import AppearanceMemory, detection_cues
+from sftrack.appearance import Cues, detection_cues
 from sftrack.types import BoundingBox, Detection, box_array, corners, iou_matrix
 
 
@@ -25,13 +25,14 @@ def brute_force_min(cost: np.ndarray) -> float:
 
 class _Row:
     """One track row: its predicted box, class id, running embedding and
-    crop memory; ``_track_columns`` stacks rows as the tracker keeps them."""
+    the cues of the detection it last matched (none with a crop until one
+    is set); ``_track_columns`` stacks rows as the tracker keeps them."""
 
     def __init__(self, box, class_id=0, embedding=None):
         self.predicted_box = box
         self.class_id = class_id
         self.embedding = embedding
-        self.memory = AppearanceMemory()
+        self.memory = Cues(None)
 
 
 def _columns(boxes, class_ids, embeddings, cues) -> Columns:
@@ -49,23 +50,22 @@ def _track_columns(rows) -> Columns:
                     [r.embedding for r in rows], [r.memory for r in rows])
 
 
-def _det_columns(dets, cues) -> Columns:
+def _det_columns(dets, cues, embeddings=None) -> Columns:
     return _columns([d.box for d in dets], [d.class_id for d in dets],
-                    [c.embedding for c in cues], cues)
+                    embeddings or [None] * len(dets), cues)
 
 
-def _cues(frame, dets, embeddings=None):
-    embeddings = embeddings or [None] * len(dets)
-    return [detection_cues(frame, d.box, e) for d, e in zip(dets, embeddings)]
+def _cues(frame, dets):
+    return [detection_cues(frame, d.box) for d in dets]
 
 
-def _matrix(tracks, dets, stage, cues, use_appearance=True):
-    return build_stage_matrix(_track_columns(tracks), _det_columns(dets, cues), stage,
-                              use_appearance=use_appearance)
+def _matrix(tracks, dets, stage, cues, use_appearance=True, embeddings=None):
+    return build_stage_matrix(_track_columns(tracks), _det_columns(dets, cues, embeddings),
+                              stage, use_appearance=use_appearance)
 
 
 def _one_pair(stage, track, det, frame, embedding=None, use_appearance=True):
-    cost = _matrix([track], [det], stage, _cues(frame, [det], [embedding]), use_appearance)
+    cost = _matrix([track], [det], stage, _cues(frame, [det]), use_appearance, [embedding])
     return float(cost[0, 0])
 
 
@@ -94,8 +94,7 @@ class TestFuse:
         rng = np.random.default_rng(5)
         frame = rng.integers(0, 256, size=(50, 50, 3)).astype(np.uint8)
         track = _Row(self.TRACK_BOX)
-        track.memory = AppearanceMemory.from_cues(
-            _cues(frame, [Detection(1, BoundingBox(0, 0, 20, 20), 0.9)])[0])
+        track.memory = detection_cues(frame, BoundingBox(0, 0, 20, 20))
         det = Detection(1, self.HALF_BOX, 0.4)
         cues = _cues(frame, [det])[0]
         mem = track.memory
@@ -262,7 +261,7 @@ class TestBuildStageMatrix:
         e[0] = 1.0
         track = _Row(b, class_id=1, embedding=e)
         det = Detection(1, b, 0.9, class_id=1)
-        cost = _matrix([track], [det], "first", _cues(frame, [det], [e]))
+        cost = _matrix([track], [det], "first", _cues(frame, [det]), embeddings=[e])
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_iou_below_gate_forbidden(self):
@@ -281,21 +280,21 @@ class TestBuildStageMatrix:
         assert np.isinf(cost[0, 0])
 
 
-def _oracle(tracks, detections, cues, stage, use_appearance):
+def _oracle(tracks, detections, cues, embeddings, stage, use_appearance):
     """The per-pair loop the array builder replaced, written out in full."""
     ious = iou_matrix(corners(box_array([t.predicted_box for t in tracks])),
                       corners(box_array([d.box for d in detections])))
     cost = np.full((len(tracks), len(detections)), FORBIDDEN)
     for i, track in enumerate(tracks):
         mem = track.memory
-        for j, (det, cue) in enumerate(zip(detections, cues)):
+        for j, (det, cue, e) in enumerate(zip(detections, cues, embeddings)):
             if track.class_id != det.class_id or ious[i, j] < IOU_GATE:
                 continue
             sim = ious[i, j]
             if use_appearance and stage == "first":
-                if track.embedding is not None and cue.embedding is not None:
-                    cos = np.dot(track.embedding, cue.embedding) / (
-                        np.linalg.norm(track.embedding) * np.linalg.norm(cue.embedding))
+                if track.embedding is not None and e is not None:
+                    cos = np.dot(track.embedding, e) / (
+                        np.linalg.norm(track.embedding) * np.linalg.norm(e))
                     sim *= max(0.0, cos)
             elif use_appearance:
                 if mem.histogram is None or cue.histogram is None:
@@ -303,7 +302,7 @@ def _oracle(tracks, detections, cues, stage, use_appearance):
                 else:
                     bc = np.sqrt(mem.histogram * cue.histogram).sum(axis=1)
                     h = 1.0 - np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)).mean()
-                    m = 1.0 - np.mean((mem.patch.astype(float) - cue.patch) ** 2) / 255.0 ** 2
+                    m = 1.0 - np.mean((mem.patch - cue.patch) ** 2) / 255.0 ** 2
                     sim *= h * m
             cost[i, j] = 1.0 - sim
     return cost
@@ -333,18 +332,16 @@ def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance)
     for _ in range(rng.integers(0, 7)):
         track = _Row(_random_box(rng), class_id=int(rng.integers(0, 2)))
         if rng.uniform() < 0.8:
-            seen = detection_cues(frame, _random_box(rng),
-                                  _random_unit(rng, dim) if rng.uniform() < 0.7 else None)
-            track.memory = AppearanceMemory.from_cues(seen)
-            track.embedding = seen.embedding
+            track.memory = detection_cues(frame, _random_box(rng))
+            track.embedding = _random_unit(rng, dim) if rng.uniform() < 0.7 else None
         tracks.append(track)
     detections = [Detection(1, _random_box(rng), float(rng.uniform()),
                             class_id=int(rng.integers(0, 2)))
                   for _ in range(rng.integers(0, 7))]
-    cues = _cues(frame, detections, [_random_unit(rng, dim) if rng.uniform() < 0.7 else None
-                                     for _ in detections])
-    got = _matrix(tracks, detections, stage, cues, use_appearance)
-    want = _oracle(tracks, detections, cues, stage, use_appearance)
+    cues = _cues(frame, detections)
+    embeddings = [_random_unit(rng, dim) if rng.uniform() < 0.7 else None for _ in detections]
+    got = _matrix(tracks, detections, stage, cues, use_appearance, embeddings)
+    want = _oracle(tracks, detections, cues, embeddings, stage, use_appearance)
     assert got.shape == want.shape
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)

@@ -60,6 +60,17 @@ class TestSynth:
         bad.write_text("frames = 3\nwidth = 64\nheight = 48\n")
         assert cli.main(["synth", "--spec", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("section", ["[object]\npath = sinusiodal",
+                                         "[camera]\npattern = spiral",
+                                         "[object]\ncolor = 1,2"],
+                             ids=["path", "pattern", "color"])
+    def test_spec_bad_value_exit_2_writes_nothing(self, tmp_path, section):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"seed = 1\nframes = 2\nwidth = 64\nheight = 48\n\n{section}\n")
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--spec", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert cli.main(["synth", "--preset", "wat", "--out", str(tmp_path / "x")]) == 2
 

@@ -184,6 +184,29 @@ class TestSpecFiles:
         with pytest.raises(ConfigError, match="wibble"):
             parse_scenario("seed = 1\nwibble = 2\n")
 
+    # Values that parsed before but that generate could not render: a typo'd
+    # path moved the object linearly, and the others failed after frames/
+    # was created.
+    @pytest.mark.parametrize("section, key, value", [
+        ("object", "path", "sinusiodal"),
+        ("camera", "pattern", "spiral"),
+        ("object", "color", "1,2"),
+        ("object", "color", "1,2,3,4"),
+        ("object", "color", "0,256,0"),
+        ("occluder", "color", "-1,0,0"),
+        ("occluder", "color", "red"),
+    ])
+    def test_bad_value_rejected_naming_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section} key {key}: '{value}'"):
+            parse_scenario(f"seed = 1\n\n[{section}]\n{key} = {value}\n")
+
+    def test_every_known_choice_parses(self):
+        for path in ("static", "linear", "sinusoidal"):
+            assert parse_scenario(f"seed = 1\n[object]\npath = {path}\n").objects[0].path == path
+        for pattern in ("static", "linear", "sinusoid", "zigzag"):
+            assert parse_scenario(f"seed = 1\n[camera]\npattern = {pattern}\n"
+                                  ).camera.pattern == pattern
+
 
 class TestPresets:
     def test_known_names(self):

@@ -422,8 +422,11 @@ class TestMemory:
             r = t.step(k, frame, dets)
         assert r.diagnostics.n_matched_first and r.diagnostics.n_matched_second
         held = held_arrays(t)
-        assert any(a.dtype == np.float32 for a in held), "no memory patch was read"
         assert not [a.shape for a in held for f in frames if np.shares_memory(a, f)]
+        # Patches are recomputed on each read, not held: a held patch would
+        # be most of a track's memory.
+        patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
+        assert not [a for a in held if a.dtype.kind == "f" and a.shape == patch]
 
 
 class TestLazyCues:
@@ -472,7 +475,7 @@ class TestLazyCues:
     def test_second_stage_match_hands_its_histogram_to_the_track(self, monkeypatch):
         # The histogram a second-stage match computed becomes the track's, so
         # reading the track on the next frame computes no histogram for it.
-        # Its patch is computed again from the crop copy.
+        # Its patch is computed again on each read.
         t = Tracker(config())
         t.step(1, FRAME, [det(1, 50, 40)])
         calls = self.counted(monkeypatch)
@@ -487,7 +490,7 @@ class TestLazyCues:
         monkeypatch.undo()
         assert np.array_equal(memory.histogram, appearance.color_histogram(crop))
         assert np.array_equal(memory.patch, appearance.resize_bilinear(
-            crop, appearance.PATCH_SIZE).astype(np.float32))
+            crop, appearance.PATCH_SIZE))
 
     def test_fallback_descriptor_once_per_kept_detection(self, monkeypatch):
         # The benchmark's per-detection counts read these calls: one per
@@ -753,6 +756,16 @@ class TestFileEmbeddings:
         r = t.step(2, FRAME, [det(2, 52, 40, score=0.9)])
         assert r.diagnostics.used_embeddings
         assert r.diagnostics.n_matched_first == 1
+
+    def test_given_embedding_wins_over_fallback(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(appearance, "fallback_embedding", lambda crop: calls.append(crop))
+        e = np.array([0.6, 0.8])
+        t = Tracker(config(), embeddings={(1, 0): e}, handcrafted_fallback=True)
+        t.step(1, FRAME, [det(1, 50, 40), det(1, 120, 90)])
+        assert calls == []
+        assert t.has_embedding.tolist() == [True, False]
+        assert np.array_equal(t.track_embeddings[0], e)
 
     def test_row_missing_from_table_means_no_embedding(self, monkeypatch):
         # With a table, a detection without a row has no embedding, even
