@@ -11,8 +11,10 @@ Color histograms use HIST_BINS equal-width intensity levels per RGB channel
 (0-31, 32-63, ..., 224-255).
 Histogram similarity is one minus the mean per-channel Hellinger distance.
 Crop similarity is one minus the MSE between both crops resized to a common
-patch (PATCH_SIZE), normalized by 255^2. The similarity functions take
-stacks of cues, so cost matrices evaluate them on all candidate pairs at once.
+patch (PATCH_SIZE), normalized by 255^2. Histogram and embedding similarities
+take stacks of cues, so cost matrices evaluate them on all candidate pairs at
+once; patch similarities take each side's patches once and the pairs as index
+arrays, and reduce one pair at a time, so no (pairs, h, w, 3) stack is built.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -110,17 +113,32 @@ def resize_bilinear(crop: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     sh, sw = crop.shape[:2]
     c0, c1, gx, fx, y0, y1, gy, fy = _resize_taps(sh, sw, tw, th)
     src = crop.reshape(sh, sw * 3).astype(np.float64)
-    rows = src[:, c0] * gx
-    rows += src[:, c1] * fx
-    out = rows[y0] * gy
-    out += rows[y1] * fy
+    # ``take`` and in-place products: the float64 operations of the formula
+    # above, in its order, without fancy-index gathers' temporaries.
+    rows = src.take(c0, axis=1)
+    rows *= gx
+    right = src.take(c1, axis=1)
+    right *= fx
+    rows += right
+    out = rows.take(y0, axis=0)
+    out *= gy
+    below = rows.take(y1, axis=0)
+    below *= fy
+    out += below
     return out.reshape(th, tw, 3)
 
 
-def patch_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1 - MSE / 255^2, row by row over (n, h, w, 3) stacks of resized
-    patches."""
-    mse = ((a - b) ** 2).mean(axis=(1, 2, 3))
+def patch_similarities(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
+                       rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """1 - MSE / 255^2 of patch ``a[rows[k]]`` against patch ``b[cols[k]]``
+    for every pair k, shape (len(rows),).
+
+    ``a`` and ``b`` hold (h, w, 3) resized patches, each once however many
+    pairs read it. Every pair is reduced on its own, so no temporary grows
+    with the number of pairs; its MSE is bit-identical to that pair's row of
+    ``mean(axis=(1, 2, 3))`` over gathered (pairs, h, w, 3) stacks.
+    """
+    mse = np.array([((a[i] - b[j]) ** 2).mean() for i, j in zip(rows.tolist(), cols.tolist())])
     return 1.0 - mse / (255.0 ** 2)
 
 

@@ -3,7 +3,9 @@ and the appearance gate on low-confidence track initiation.
 
 Costs live in [0, 1] (1 - fused similarity). FORBIDDEN marks pairs the
 solver must never select: IoU below IOU_GATE or mismatched classes.
-Cues are evaluated only on the candidate pairs, as array expressions.
+Cues are evaluated only on the candidate pairs: embeddings and histograms
+as array expressions, the patch MSE one pair at a time from patches read
+once per candidate.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ class Columns:
                        self.has_embedding[rows], cues)
 
 
-def _stack(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> np.ndarray:
-    """Rows stacked into one array, with zeros for the missing (None) ones."""
+def _filled(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The rows, with one shared all-zero array for the missing (None) ones."""
     blank = np.zeros(shape)
-    return np.stack([blank if r is None else r for r in rows])
+    return [blank if r is None else r for r in rows]
 
 
 def _cosines(a: Columns, b: Columns, missing: float) -> np.ndarray:
@@ -138,8 +140,10 @@ def build_stage_matrix(tracks: Columns, detections: Columns,
         sim = sim * _cosines(tracks, detections, 1.0)[ti, dj]
     elif use_appearance and len(ti):
         # Histograms and patches are computed on first read, so only the
-        # tracks and detections of candidate pairs are stacked. A missing
-        # crop stacks as an all-zero histogram, which scores 0.
+        # tracks and detections of candidate pairs compute them, each once.
+        # Histograms are stacked and gathered per pair; patches, 24 KiB
+        # each, are compared pair by pair without a per-pair stack. A
+        # missing crop reads as an all-zero histogram, which scores 0.
         rows, ti_u = np.unique(ti, return_inverse=True)
         cols, dj_u = np.unique(dj, return_inverse=True)
         mem_rows = [tracks.cues[i] for i in rows]
@@ -147,11 +151,11 @@ def build_stage_matrix(tracks: Columns, detections: Columns,
         bins = (3, appearance.HIST_BINS)
         patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
         sim = (sim * appearance.histogram_similarities(
-                   _stack([m.histogram for m in mem_rows], bins)[ti_u],
-                   _stack([c.histogram for c in cue_cols], bins)[dj_u])
+                   np.stack(_filled([m.histogram for m in mem_rows], bins))[ti_u],
+                   np.stack(_filled([c.histogram for c in cue_cols], bins))[dj_u])
                * appearance.patch_similarities(
-                   _stack([m.patch for m in mem_rows], patch)[ti_u],
-                   _stack([c.patch for c in cue_cols], patch)[dj_u]))
+                   _filled([m.patch for m in mem_rows], patch),
+                   _filled([c.patch for c in cue_cols], patch), ti_u, dj_u))
     cost[ti, dj] = 1.0 - sim
     return cost
 

@@ -1,7 +1,8 @@
 """Tracker configuration and the flat key-value config file format.
 
 Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
-ignored. Scenario files reuse the same grammar plus ``[section]`` headers.
+ignored, and a key may appear once. Scenario files reuse the same grammar
+plus ``[section]`` headers; a key may appear once per section.
 """
 
 from __future__ import annotations
@@ -97,18 +98,26 @@ def _parse_value(key: str, raw: str, annotation: str, source, lineno):
 
 def _iter_kv_lines(text: str, source=None):
     """Yield (lineno, key, value) for key=value lines; section headers yield
-    (lineno, '[name]', '')."""
+    (lineno, '[name]', ''). A key repeated before the next section header
+    raises ``ParseError`` at its second line, naming the first."""
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
+            first_line.clear()
             yield lineno, stripped, ""
             continue
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value', got {stripped!r}", source, lineno)
         key, value = stripped.split("=", 1)
-        yield lineno, key.strip(), value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ParseError(f"duplicate key {key!r} (first on line {first_line[key]})",
+                             source, lineno)
+        first_line[key] = lineno
+        yield lineno, key, value.strip()
 
 
 def parse_sections(text: str, source: str | None = None):

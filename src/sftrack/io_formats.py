@@ -114,7 +114,7 @@ def _int_field(raw: str, path, lineno, name: str) -> int:
 def _box_fields(raw: list[str], path, lineno) -> BoundingBox:
     try:
         return BoundingBox(*(_float_field(p, path, lineno) for p in raw))
-    except ValueError as exc:  # a non-finite coordinate
+    except ValueError as exc:  # a non-finite or overflowing box
         raise ParseError(str(exc), str(path), lineno)
 
 

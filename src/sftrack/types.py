@@ -23,9 +23,11 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
-        for v in (self.left, self.top, self.width, self.height):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite box field: {self}")
+        # The edges are finite only if all four fields are; finite fields
+        # can still overflow an edge or the area, which crops and IoU read.
+        if not (math.isfinite(self.left + self.width) and math.isfinite(self.top + self.height)
+                and math.isfinite(self.width * self.height)):
+            raise ValueError(f"non-finite box field, edge or area: {self}")
         if self.width < 0 or self.height < 0:
             raise ValueError(f"negative box size: {self.width}x{self.height}")
 

@@ -71,10 +71,10 @@ def hist_sim(h1, h2):
 
 
 def mse_sim(crop_a, crop_b, patch=(32, 32)):
-    """Scaled-image MSE similarity of two crops through the array form."""
-    pa = ap.resize_bilinear(crop_a, patch)[None]
-    pb = ap.resize_bilinear(crop_b, patch)[None]
-    return float(ap.patch_similarities(pa, pb)[0])
+    """Scaled-image MSE similarity of two crops through the pair form."""
+    pa = ap.resize_bilinear(crop_a, patch)
+    pb = ap.resize_bilinear(crop_b, patch)
+    return float(ap.patch_similarities([pa], [pb], np.array([0]), np.array([0]))[0])
 
 
 def embed_sim(e1, e2):

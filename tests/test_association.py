@@ -99,7 +99,7 @@ class TestFuse:
         cues = _cues(frame, [det])[0]
         mem = track.memory
         h = ap.histogram_similarities(mem.histogram[None], cues.histogram[None])[0]
-        m = ap.patch_similarities(mem.patch[None], cues.patch[None])[0]
+        m = ap.patch_similarities([mem.patch], [cues.patch], np.array([0]), np.array([0]))[0]
         assert 0.0 < h < 1.0 and 0.0 < m < 1.0
         assert _one_pair("second", track, det, frame) == 1.0 - 0.5 * h * m
         assert _one_pair("second", track, det, frame, use_appearance=False) == 0.5
@@ -346,3 +346,115 @@ def test_build_stage_matrix_matches_per_pair_oracle(seed, stage, use_appearance)
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
     assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)
+
+
+def _stacked_second_stage(tracks: Columns, detections: Columns) -> np.ndarray:
+    """The second-stage cost as it was built from gathered (pairs, h, w, 3)
+    patch stacks, kept as the bit-for-bit oracle of the pairwise MSE."""
+    cost = np.full((len(tracks), len(detections)), FORBIDDEN)
+    ious = iou_matrix(tracks.boxes, detections.boxes)
+    same = tracks.class_ids[:, None] == detections.class_ids[None, :]
+    ti, dj = np.nonzero(same & (ious >= IOU_GATE))
+    if not len(ti):
+        return cost
+    rows, ti_u = np.unique(ti, return_inverse=True)
+    cols, dj_u = np.unique(dj, return_inverse=True)
+
+    def stack(values, shape):
+        return np.stack([np.zeros(shape) if v is None else v for v in values])
+
+    bins = (3, ap.HIST_BINS)
+    patch = (ap.PATCH_SIZE[1], ap.PATCH_SIZE[0], 3)
+    a = stack([tracks.cues[i].patch for i in rows], patch)[ti_u]
+    b = stack([detections.cues[j].patch for j in cols], patch)[dj_u]
+    mse = ((a - b) ** 2).mean(axis=(1, 2, 3))
+    sim = (ious[ti, dj]
+           * ap.histogram_similarities(stack([tracks.cues[i].histogram for i in rows], bins)[ti_u],
+                                       stack([detections.cues[j].histogram for j in cols],
+                                             bins)[dj_u])
+           * (1.0 - mse / (255.0 ** 2)))
+    cost[ti, dj] = 1.0 - sim
+    return cost
+
+
+def _crowd(rng, frame, n_tracks, n_dets):
+    """Track and detection columns on a few anchors, so most rows and
+    columns are in several gated pairs; about one box in five hangs off the
+    frame and has no crop."""
+    def box():
+        x = rng.choice([-30.0, 12.0, 20.0, 40.0]) + rng.uniform(-2, 2)
+        y = rng.choice([-30.0, 12.0, 20.0]) + rng.uniform(-2, 2)
+        return BoundingBox(x, y, rng.uniform(8, 24), rng.uniform(8, 24))
+
+    tracks = []
+    for _ in range(n_tracks):
+        track = _Row(box())
+        track.memory = detection_cues(frame, box())
+        tracks.append(track)
+    dets = [Detection(1, box(), 0.3) for _ in range(n_dets)]
+    return _track_columns(tracks), _det_columns(dets, _cues(frame, dets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_second_stage_equals_stacked_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    frame = rng.integers(0, 256, size=(60, 80, 3)).astype(np.uint8)
+    tracks, dets = _crowd(rng, frame, int(rng.integers(0, 10)), int(rng.integers(0, 10)))
+    got = build_stage_matrix(tracks, dets, "second")
+    want = _stacked_second_stage(tracks, dets)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_oracle_covers_repeats_and_missing_crops():
+    rng = np.random.default_rng(11)
+    frame = rng.integers(0, 256, size=(60, 80, 3)).astype(np.uint8)
+    tracks, dets = _crowd(rng, frame, 9, 9)
+    cost = build_stage_matrix(tracks, dets, "second")
+    ti, dj = np.nonzero(np.isfinite(cost))
+    assert len(set(ti.tolist())) < len(ti) and len(set(dj.tolist())) < len(dj)
+    missing = [cues.crop is None for cues in list(tracks.cues) + list(dets.cues)]
+    assert any(missing) and not all(missing)
+    # Gated pairs with a missing crop on either side cost exactly 1.
+    no_crop = np.array([tracks.cues[i].crop is None or dets.cues[j].crop is None
+                        for i, j in zip(ti, dj)])
+    assert no_crop.any() and (cost[ti, dj][no_crop] == 1.0).all()
+    assert cost.tobytes() == _stacked_second_stage(tracks, dets).tobytes()
+
+
+def test_patch_similarities_equal_row_means_of_gathered_stacks():
+    rng = np.random.default_rng(3)
+    a = [rng.uniform(0, 255, size=(32, 32, 3)) for _ in range(5)]
+    b = [rng.uniform(0, 255, size=(32, 32, 3)) for _ in range(4)] + [np.zeros((32, 32, 3))]
+    rows = np.array([0, 0, 1, 3, 3, 3, 4, 2])
+    cols = np.array([1, 4, 1, 0, 2, 3, 4, 4])
+    stacked = 1.0 - ((np.stack(a)[rows] - np.stack(b)[cols]) ** 2).mean(axis=(1, 2, 3)) / 255.0 ** 2
+    got = ap.patch_similarities(a, b, rows, cols)
+    assert got.dtype == np.float64 and got.tobytes() == stacked.tobytes()
+    assert ap.patch_similarities(a, b, rows[:0], cols[:0]).shape == (0,)
+
+
+def test_second_stage_peak_memory_below_one_pair_stack():
+    """Memory of the second stage grows with its candidates' patches, not
+    with its pairs: 8 tracks x 8 detections on one spot are 64 pairs."""
+    import tracemalloc
+
+    frame = np.random.default_rng(2).integers(0, 256, size=(40, 40, 3)).astype(np.uint8)
+    rows = []
+    for i in range(8):
+        row = _Row(BoundingBox(10 + i * 0.5, 10, 12, 12))
+        row.memory = detection_cues(frame, BoundingBox(9 + i, 11, 10, 14))
+        rows.append(row)
+    dets = [Detection(1, BoundingBox(10, 10 + j * 0.5, 12, 12), 0.3) for j in range(8)]
+    tracks, det_columns = _track_columns(rows), _det_columns(dets, _cues(frame, dets))
+    build_stage_matrix(tracks, det_columns, "second")  # first calls fill the taps cache
+    tracemalloc.start()
+    try:
+        cost = build_stage_matrix(tracks, det_columns, "second")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = int(np.isfinite(cost).sum())
+    assert pairs >= 64
+    one_stack = pairs * ap.PATCH_SIZE[0] * ap.PATCH_SIZE[1] * 3 * 8
+    assert peak < one_stack, (peak, one_stack)

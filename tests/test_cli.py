@@ -71,6 +71,15 @@ class TestSynth:
         assert cli.main(["synth", "--spec", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_spec_repeated_key_exit_2_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = 1\nframes = 2\nwidth = 64\nheight = 48\n\n"
+                       "[object]\nx = 10\nx = 20\n")
+        out = tmp_path / "x"
+        assert cli.main(["synth", "--spec", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "bad.cfg:8: duplicate key 'x' (first on line 7)" in capsys.readouterr().err
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert cli.main(["synth", "--preset", "wat", "--out", str(tmp_path / "x")]) == 2
 
@@ -123,6 +132,16 @@ class TestTrack:
                          "--out", str(tmp_path / "r.txt")])
         assert code == 2
         assert "misspelled_key" in capsys.readouterr().err
+
+    def test_repeated_config_key_exit_2(self, tiny_seq, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("tau = 0.5\ntau = 0.9\n")
+        code = cli.main(["track", "--seq", str(tiny_seq), "--det",
+                         str(tiny_seq / "det.txt"), "--config", str(cfg),
+                         "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert "dup.cfg:2: duplicate key 'tau' (first on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_env_config_fallback(self, tiny_seq, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
@@ -194,7 +213,9 @@ class TestTrack:
         "1.5,-1,30,30,12,12,0.9",     # not a whole frame index
         "2,-1,30,30,12,12,inf",       # would be rescaled to nan
         "2,-1,30,30,12,12,nan",
-    ], ids=["frame_inf", "frame_nan", "frame_fraction", "score_inf", "score_nan"])
+        "1,-1,1e308,10,1e308,20,0.9",  # finite fields, overflowing right edge
+    ], ids=["frame_inf", "frame_nan", "frame_fraction", "score_inf", "score_nan",
+            "box_overflow"])
     def test_bad_numeric_field_exit_2(self, tiny_seq, tmp_path, capsys, row):
         det = tmp_path / "d.txt"
         det.write_text("1,-1,30,30,12,12,0.9\n" + row + "\n")
@@ -258,6 +279,15 @@ class TestEval:
                          str(tmp_path / "rep.json")]) == 0
         report = json.loads((tmp_path / "rep.json").read_text())
         assert report["mota"] == 100.0  # zero-noise scene tracks perfectly
+
+    def test_overflowing_box_exit_2(self, tiny_seq, tmp_path, capsys):
+        res = tmp_path / "res.txt"
+        res.write_text("1,1,44.00,35.00,24.00,20.00,1.00,-1,-1,-1\n"
+                       "1,2,0.00,0.00,1e200,1e200,1.00,-1,-1,-1\n")
+        code = cli.main(["eval", "--gt", str(tiny_seq / "gt.txt"), "--res", str(res),
+                         "--format", "visdrone"])
+        assert code == 2
+        assert "res.txt:2: non-finite box field, edge or area" in capsys.readouterr().err
 
     def test_frame_range_warning(self, tiny_seq, tmp_path, capsys):
         res = tmp_path / "res.txt"

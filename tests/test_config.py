@@ -5,7 +5,7 @@ import pytest
 
 from sftrack import appearance, association, motion
 from sftrack.config import TrackerConfig, parse_sections
-from sftrack.errors import ConfigError
+from sftrack.errors import ConfigError, ParseError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -79,6 +79,23 @@ class TestValidation:
             TrackerConfig(rho=-0.1)
         with pytest.raises(ConfigError):
             TrackerConfig(grace_frames=0)
+
+
+class TestDuplicateKeys:
+    def test_tracker_config_rejects_a_repeated_key(self):
+        with pytest.raises(ParseError, match=r"cfg:3: duplicate key 'tau' \(first on line 1\)"):
+            TrackerConfig.from_text("tau = 0.5\nrho = 0.4\ntau = 0.9\n", source="cfg")
+
+    def test_sections_reject_a_key_repeated_within_one_section(self):
+        text = "seed = 1\n[object]\nx = 1\ny = 2\nx = 3\n"
+        with pytest.raises(ParseError, match=r"spec:5: duplicate key 'x' \(first on line 3\)"):
+            parse_sections(text, source="spec")
+        with pytest.raises(ParseError, match=r"spec:2: duplicate key 'seed' \(first on line 1\)"):
+            parse_sections("seed = 1\nseed = 2\n[object]\nx = 1\n", source="spec")
+
+    def test_the_same_key_in_two_sections_is_not_a_repeat(self):
+        top, sections = parse_sections("x = 0\n[object]\nx = 1\n[object]\nx = 2\n")
+        assert top == {"x": "0"} and [body for _, body in sections] == [{"x": "1"}, {"x": "2"}]
 
 
 class TestSections:

@@ -105,8 +105,9 @@ class TestVisdrone:
 
 
 class TestNumericFields:
-    """Integer columns must be whole and finite, scores finite; a bad row
-    raises a ParseError that names its line."""
+    """Integer columns must be whole and finite, scores finite, and boxes
+    finite with finite edges and area; a bad row raises a ParseError that
+    names its line."""
 
     GOOD_MOT = "1,-1,10,20,30,40,0.9\n"
     GOOD_VISDRONE = "1,1,0,0,5,5,1,4,0,0\n"
@@ -115,6 +116,8 @@ class TestNumericFields:
         "inf,-1,10,20,30,40,0.9", "nan,-1,10,20,30,40,0.9", "1.5,-1,10,20,30,40,0.9",
         "1,-1,10,20,30,40,inf", "1,-1,10,20,30,40,nan", "1,-1,10,20,30,40,-inf",
         "1,-1,nan,20,30,40,0.9", "1,-1,10,20,inf,40,0.9",
+        # Finite fields whose right edge, bottom edge or area overflows.
+        "1,-1,1e308,10,1e308,20,0.9", "1,-1,10,1e308,20,1e308,0.9", "1,-1,0,0,1e200,1e200,0.9",
     ])
     def test_mot_detections(self, tmp_path, row):
         p = tmp_path / "det.txt"
@@ -124,7 +127,7 @@ class TestNumericFields:
 
     @pytest.mark.parametrize("row", [
         "nan,1,0,0,5,5,1,4,0,0", "1,2.5,0,0,5,5,1,4,0,0", "1,1,0,0,5,5,nan,4,0,0",
-        "1,1,0,0,5,5,1,4.5,0,0", "1,1,0,0,5,5,1,inf,0,0",
+        "1,1,0,0,5,5,1,4.5,0,0", "1,1,0,0,5,5,1,inf,0,0", "1,1,0,0,1e200,1e200,1,4,0,0",
     ])
     def test_visdrone(self, tmp_path, row):
         p = tmp_path / "gt.txt"
@@ -134,6 +137,7 @@ class TestNumericFields:
 
     @pytest.mark.parametrize("row", [
         "1.5,1,0,0,5,5", "1,inf,0,0,5,5", "1,1,0,0,5,5,nan", "1,1,0,0,5,5,1,0.5",
+        "1,1,1e308,0,1e308,5",
     ])
     def test_mot_annotations(self, tmp_path, row):
         p = tmp_path / "gt.txt"

@@ -24,6 +24,17 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(math.nan, 0, 1, 1)
 
+    @pytest.mark.parametrize("fields", [(1e308, 0, 1e308, 1), (0, 1e308, 1, 1e308),
+                                        (0, 0, 1e200, 1e200)],
+                             ids=["right", "bottom", "area"])
+    def test_rejects_overflowing_edge_or_area(self, fields):
+        with pytest.raises(ValueError, match="non-finite box field, edge or area"):
+            BoundingBox(*fields)
+
+    def test_large_finite_box_accepted(self):
+        b = BoundingBox(-1e150, 1e150, 1e150, 1e150)
+        assert math.isfinite(b.right) and math.isfinite(b.area)
+
     def test_degenerate_flag(self):
         assert box(0, 0, 0, 10).is_degenerate
         assert not box(0, 0, 1, 1).is_degenerate
