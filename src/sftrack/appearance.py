@@ -6,7 +6,9 @@ newly started track keeps the record of its detection as its memory. The
 color histogram is computed on first read and then kept, so only
 second-stage candidates pay for it and a track reuses the one its
 second-stage match computed. The MSE patch is computed on each read.
-Embeddings are not part of the record: the tracker keeps them as columns.
+Embeddings are not part of the record: the tracker keeps them as rows of a
+table, where a zero row is no embedding. A record without a crop has an
+all-zero histogram and patch.
 Color histograms use HIST_BINS equal-width intensity levels per RGB channel
 (0-31, 32-63, ..., 224-255).
 Histogram similarity is one minus the mean per-channel Hellinger distance.
@@ -142,17 +144,18 @@ def patch_similarities(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
     return 1.0 - mse / (255.0 ** 2)
 
 
-def embedding_similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def embedding_similarities(a: np.ndarray, b: np.ndarray, missing: float = 0.0) -> np.ndarray:
     """Cosine similarity clamped to [0, 1] of every row of ``a`` (n, d) with
-    every row of ``b`` (m, d), shape (n, m). Vectors are renormalized; zero
-    vectors score 0."""
+    every row of ``b`` (m, d), shape (n, m). Vectors are renormalized. A
+    zero row is no embedding: its pairs score ``missing``."""
     norms = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)[None, :]
     positive = norms > 0.0
     # A plain division, not a masked one (several times slower); the pairs
-    # without a positive norm are zeroed after it.
+    # without a positive norm are set after the clamp.
     out = (a @ b.T) / np.where(positive, norms, 1.0)
-    out[~positive] = 0.0
-    return np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    out[~positive] = missing
+    return out
 
 
 def extract_crop(frame: np.ndarray, box: BoundingBox) -> np.ndarray | None:
@@ -275,7 +278,8 @@ class Cues:
     first read and then kept. ``patch`` (float64) is resized from the crop
     on each read and not kept: at 24 KiB it is many times a small target's
     crop, and most tracks would hold it through frames in which nothing
-    reads it. Both are None without a crop. Nothing assigns to a record
+    reads it. Without a crop both are zeros, which score 0 against any
+    histogram and patch in the second stage. Nothing assigns to a record
     after it is made. It is not a frozen dataclass because a frozen
     ``__init__`` costs about three times as much, and every detection of
     every frame makes one.
@@ -284,12 +288,14 @@ class Cues:
     crop: np.ndarray | None = field(repr=False)
 
     @cached_property
-    def histogram(self) -> np.ndarray | None:
-        return None if self.crop is None else color_histogram(self.crop)
+    def histogram(self) -> np.ndarray:
+        return color_histogram(self.crop)
 
     @property
-    def patch(self) -> np.ndarray | None:
-        return None if self.crop is None else resize_bilinear(self.crop, PATCH_SIZE)
+    def patch(self) -> np.ndarray:
+        if self.crop is None:
+            return np.zeros((PATCH_SIZE[1], PATCH_SIZE[0], 3))
+        return resize_bilinear(self.crop, PATCH_SIZE)
 
 
 def detection_cues(frame: np.ndarray, box: BoundingBox) -> Cues:
@@ -298,22 +304,21 @@ def detection_cues(frame: np.ndarray, box: BoundingBox) -> Cues:
     return Cues(None if crop is None else crop.copy())
 
 
-def update_embeddings(table: np.ndarray, has: np.ndarray, rows: np.ndarray,
-                      new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New running embeddings (N, D) and their has-embedding mask (N,) after
-    row ``rows[i]`` of ``table`` takes the embedding ``new[i]``.
+def update_embeddings(table: np.ndarray, rows: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """New running embeddings (N, D) after row ``rows[i]`` of ``table``
+    takes the embedding ``new[i]``.
 
-    A row without an embedding copies ``new[i]``. A row with one becomes
+    A zero row has no embedding and copies ``new[i]``. Any other row becomes
     the mix EMBEDDING_MOMENTUM * old + (1 - EMBEDDING_MOMENTUM) * new,
     divided by its norm, or ``new[i]`` itself when that norm is 0. Each row
     gets the floating-point operations of a one-vector update; the norm is
     one dot product per row, as ``np.linalg.norm`` takes it for a vector.
     ``rows`` must not repeat. The inputs are not modified.
     """
-    table, has = table.copy(), has.copy()
-    mixed = EMBEDDING_MOMENTUM * table[rows] + (1.0 - EMBEDDING_MOMENTUM) * new
+    table = table.copy()
+    old = table[rows]
+    mixed = EMBEDDING_MOMENTUM * old + (1.0 - EMBEDDING_MOMENTUM) * new
     norm = np.sqrt(mixed[:, None, :] @ mixed[:, :, None])[:, 0]
     table[rows] = np.divide(mixed, norm, out=np.array(new, dtype=float),
-                            where=has[rows, None] & (norm > 0.0))
-    has[rows] = True
-    return table, has
+                            where=old.any(axis=1)[:, None] & (norm > 0.0))
+    return table

@@ -5,7 +5,8 @@ Costs live in [0, 1] (1 - fused similarity). FORBIDDEN marks pairs the
 solver must never select: IoU below IOU_GATE or mismatched classes.
 Cues are evaluated only on the candidate pairs: embeddings and histograms
 as array expressions, the patch MSE one pair at a time from patches read
-once per candidate.
+once per candidate. A missing cue is a zero value: a zero embedding row, or
+the all-zero histogram and patch of a record without a crop.
 """
 
 from __future__ import annotations
@@ -73,16 +74,15 @@ class Columns:
     """One side of an association, one row per track or detection.
 
     ``boxes`` are (n, 4) left, top, right, bottom; ``class_ids`` (n,);
-    ``embeddings`` (n, D), of which only the rows where ``has_embedding``
-    (n,) is set are read. ``cues`` holds each row's ``appearance.Cues``,
-    read for its ``histogram`` and ``patch`` by the second stage: a
-    detection's own, or for a track those of the detection it last matched.
+    ``embeddings`` (n, D), where a zero row is no embedding. ``cues`` holds
+    each row's ``appearance.Cues``, read for its ``histogram`` and ``patch``
+    by the second stage: a detection's own, or for a track those of the
+    detection it last matched.
     """
 
     boxes: np.ndarray
     class_ids: np.ndarray
     embeddings: np.ndarray
-    has_embedding: np.ndarray
     cues: Sequence[appearance.Cues]
 
     def __len__(self) -> int:
@@ -92,26 +92,7 @@ class Columns:
         """The columns of ``rows`` (a list of indices or a slice), in that
         order."""
         cues = self.cues[rows] if isinstance(rows, slice) else [self.cues[i] for i in rows]
-        return Columns(self.boxes[rows], self.class_ids[rows], self.embeddings[rows],
-                       self.has_embedding[rows], cues)
-
-
-def _filled(rows: Sequence[np.ndarray | None], shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The rows, with one shared all-zero array for the missing (None) ones."""
-    blank = np.zeros(shape)
-    return [blank if r is None else r for r in rows]
-
-
-def _cosines(a: Columns, b: Columns, missing: float) -> np.ndarray:
-    """Embedding cosine of every (row of a, row of b) pair as a (len(a),
-    len(b)) matrix; ``missing`` where either row has no embedding."""
-    if len(a) and len(b) and a.has_embedding.all() and b.has_embedding.all():
-        return appearance.embedding_similarities(a.embeddings, b.embeddings)
-    out = np.full((len(a), len(b)), missing)
-    if a.has_embedding.any() and b.has_embedding.any():
-        out[np.ix_(a.has_embedding, b.has_embedding)] = appearance.embedding_similarities(
-            a.embeddings[a.has_embedding], b.embeddings[b.has_embedding])
-    return out
+        return Columns(self.boxes[rows], self.class_ids[rows], self.embeddings[rows], cues)
 
 
 def _same_class(a: Columns, b: Columns) -> np.ndarray:
@@ -137,25 +118,23 @@ def build_stage_matrix(tracks: Columns, detections: Columns,
     ti, dj = np.nonzero(_same_class(tracks, detections) & (ious >= IOU_GATE))
     sim = ious[ti, dj]
     if use_appearance and stage == "first":
-        sim = sim * _cosines(tracks, detections, 1.0)[ti, dj]
+        sim = sim * appearance.embedding_similarities(
+            tracks.embeddings, detections.embeddings, missing=1.0)[ti, dj]
     elif use_appearance and len(ti):
         # Histograms and patches are computed on first read, so only the
         # tracks and detections of candidate pairs compute them, each once.
         # Histograms are stacked and gathered per pair; patches, 24 KiB
         # each, are compared pair by pair without a per-pair stack. A
-        # missing crop reads as an all-zero histogram, which scores 0.
+        # missing crop has an all-zero histogram, which scores 0.
         rows, ti_u = np.unique(ti, return_inverse=True)
         cols, dj_u = np.unique(dj, return_inverse=True)
         mem_rows = [tracks.cues[i] for i in rows]
         cue_cols = [detections.cues[j] for j in cols]
-        bins = (3, appearance.HIST_BINS)
-        patch = (appearance.PATCH_SIZE[1], appearance.PATCH_SIZE[0], 3)
         sim = (sim * appearance.histogram_similarities(
-                   np.stack(_filled([m.histogram for m in mem_rows], bins))[ti_u],
-                   np.stack(_filled([c.histogram for c in cue_cols], bins))[dj_u])
+                   np.stack([m.histogram for m in mem_rows])[ti_u],
+                   np.stack([c.histogram for c in cue_cols])[dj_u])
                * appearance.patch_similarities(
-                   _filled([m.patch for m in mem_rows], patch),
-                   _filled([c.patch for c in cue_cols], patch), ti_u, dj_u))
+                   [m.patch for m in mem_rows], [c.patch for c in cue_cols], ti_u, dj_u))
     cost[ti, dj] = 1.0 - sim
     return cost
 
@@ -167,6 +146,6 @@ def low_init_allowed(low: Columns, high: Columns, rho: float) -> np.ndarray:
     (no embedding on the low detection or on every same-class high one)."""
     if not len(low) or not len(high):
         return np.ones(len(low), dtype=bool)
-    cos = _cosines(low, high, -np.inf)
+    cos = appearance.embedding_similarities(low.embeddings, high.embeddings, missing=-np.inf)
     best = np.where(_same_class(low, high), cos, -np.inf).max(axis=1)
     return (best == -np.inf) | (best > rho)

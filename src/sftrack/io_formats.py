@@ -64,10 +64,12 @@ def read_ppm(path: str | Path) -> np.ndarray:
         raise ParseError(f"invalid dimensions {width}x{height}", str(path))
     pos += 1  # single whitespace byte after maxval
     expected = width * height * 3
-    raster = data[pos:pos + expected]
-    if len(raster) < expected:
-        raise ParseError(f"truncated pixel data: {len(raster)} of {expected} bytes", str(path))
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    available = max(len(data) - pos, 0)
+    if available < expected:
+        raise ParseError(f"truncated pixel data: {available} of {expected} bytes", str(path))
+    # A view into the file's bytes, then one writable copy.
+    raster = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+    return raster.reshape(height, width, 3).copy()
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:

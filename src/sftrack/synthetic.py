@@ -466,7 +466,12 @@ def _coerce(dc_type, key: str, raw: str):
     if "int" in ann and "tuple" not in ann:
         return int(raw)
     if "float" in ann:
-        return float(raw)
+        value = float(raw)
+        # A sinusoid divides by its period; fp_rate counts detections.
+        if (not math.isfinite(value) or (key == "period" and value <= 0.0)
+                or (key == "fp_rate" and value < 0.0)):
+            raise ValueError(raw)
+        return value
     return raw
 
 

@@ -109,31 +109,32 @@ def _detection_columns(dets: list[Detection], embeddings: list[np.ndarray | None
                        cues: list[appearance.Cues],
                        width: int) -> tuple[np.ndarray, association.Columns]:
     """The (n, 4) left, top, width, height boxes of ``dets`` and their
-    association columns, with embeddings ``width`` wide."""
+    association columns, with embeddings ``width`` wide: a zero row where
+    a detection has none."""
     boxes = box_array([d.box for d in dets])
-    has = np.array([e is not None for e in embeddings], dtype=bool)
+    rows = [i for i, e in enumerate(embeddings) if e is not None]
     table = np.zeros((len(dets), width))
-    if has.any():
-        table[has] = [e for e in embeddings if e is not None]
+    if rows:
+        table[rows] = [embeddings[i] for i in rows]
     class_ids = np.array([d.class_id for d in dets], dtype=int)
-    return boxes, association.Columns(corners(boxes), class_ids, table, has, cues)
+    return boxes, association.Columns(corners(boxes), class_ids, table, cues)
 
 
 class Tracker:
     """Stateful per-sequence tracker; step() must be called in frame order.
 
     ``embeddings`` maps (frame, det_index) to precomputed unit vectors of
-    one width; a detection without a row has no embedding. Without a table
-    and with ``handcrafted_fallback`` on, a color-layout descriptor is
-    computed from the frame pixels instead. With no embeddings at all the
-    first association degrades to plain IoU.
+    one width; a detection without a row, or with a zero vector, has no
+    embedding. Without a table and with ``handcrafted_fallback`` on, a
+    color-layout descriptor is computed from the frame pixels instead. With
+    no embeddings at all the first association degrades to plain IoU.
 
     Row i of every column is one live track: its id (``track_ids``), its
     consecutive misses (``miss_counts``; 0 while active, more while lost),
     its stacked Kalman state (``kalman_state``), its class (``class_ids``),
-    its running embedding (``track_embeddings``, read only where
-    ``has_embedding`` is set) and the ``appearance.Cues`` of the last
-    detection it matched that had a crop (``memories``).
+    its running embedding (``track_embeddings``, a zero row while it has
+    none) and the ``appearance.Cues`` of the last detection it matched that
+    had a crop (``memories``).
     """
 
     def __init__(self, config: TrackerConfig | None = None,
@@ -151,7 +152,6 @@ class Tracker:
         self.kalman_state = kalman.initiate(np.empty((0, 4)))
         self.class_ids = np.empty(0, dtype=int)
         self.track_embeddings = np.empty((0, width))
-        self.has_embedding = np.empty(0, dtype=bool)
         self.memories: list[appearance.Cues] = []
         self._next_id = 1
         self._last_frame_index: int | None = None
@@ -175,8 +175,8 @@ class Tracker:
         # one whose misses reach the grace period is gone, and the others
         # are predicted across them, as stepping those frames would.
         track_ids, miss_counts, kalman_state = self.track_ids, self.miss_counts, self.kalman_state
-        track_class_ids, track_embeddings = self.class_ids, self.track_embeddings
-        has_embedding, track_memories = self.has_embedding, self.memories
+        track_class_ids, track_embeddings, track_memories = (
+            self.class_ids, self.track_embeddings, self.memories)
         skipped = 0 if self._last_frame_index is None else frame_index - self._last_frame_index - 1
         n_removed = 0
         if skipped:
@@ -185,7 +185,7 @@ class Tracker:
             n_removed = len(alive) - int(alive.sum())
             track_ids, miss_counts = track_ids[alive], miss_counts[alive]
             kalman_state, track_class_ids = kalman_state[alive], track_class_ids[alive]
-            track_embeddings, has_embedding = track_embeddings[alive], has_embedding[alive]
+            track_embeddings = track_embeddings[alive]
             track_memories = [m for m, keep in zip(track_memories, alive.tolist()) if keep]
             # Rows survive only a gap shorter than the grace period.
             for _ in range(skipped if len(track_ids) else 0):
@@ -231,7 +231,7 @@ class Tracker:
         if not np.isfinite(boxes).all():
             raise NumericalError("non-finite predicted track state")
         track_cols = association.Columns(corners(boxes), track_class_ids, track_embeddings,
-                                         has_embedding, track_memories)
+                                         track_memories)
 
         # First association: all live tracks vs high-confidence detections.
         # Without any embedding every cosine is 1, so this is plain IoU.
@@ -253,11 +253,11 @@ class Tracker:
         matched = np.array([dj for _, dj in first.matches]
                            + [n_high + dj for _, dj in second.matches], dtype=int)
         state[rows] = kalman.update(state[rows], cxcyah(det_boxes[matched]))
-        embeddings, has = track_embeddings, has_embedding
-        mix = det_cols.has_embedding[matched]
+        embeddings = track_embeddings
+        mix = det_cols.embeddings.any(axis=1)[matched]
         if mix.any():
-            embeddings, has = appearance.update_embeddings(
-                embeddings, has, rows[mix], det_cols.embeddings[matched[mix]])
+            embeddings = appearance.update_embeddings(
+                embeddings, rows[mix], det_cols.embeddings[matched[mix]])
         # A matched track keeps the detection's cues, with any histogram the
         # second stage computed; a detection without a crop leaves the
         # track's memory as it was.
@@ -274,7 +274,7 @@ class Tracker:
         kept = misses < cfg.grace_frames
         n_removed += len(kept) - int(kept.sum())
         ids, misses, class_ids = track_ids[kept], misses[kept], track_class_ids[kept]
-        state, embeddings, has = state[kept], embeddings[kept], has[kept]
+        state, embeddings = state[kept], embeddings[kept]
         memories = [m for m, keep in zip(memories, kept.tolist()) if keep]
 
         # New tracks from unmatched high detections, then from unmatched low
@@ -294,7 +294,6 @@ class Tracker:
         misses = np.concatenate([misses, np.zeros(len(born), dtype=int)])
         class_ids = np.concatenate([class_ids, det_cols.class_ids[born]])
         embeddings = np.concatenate([embeddings, det_cols.embeddings[born]])
-        has = np.concatenate([has, det_cols.has_embedding[born]])
         memories += [det_cues[j] for j in born]
 
         reported = track_ids[rows].tolist() + new_ids.tolist()
@@ -303,7 +302,7 @@ class Tracker:
         outputs.sort(key=lambda o: o[0])
         # Commit: every column changes here and nowhere else.
         self.track_ids, self.miss_counts, self.kalman_state = ids, misses, state
-        self.class_ids, self.track_embeddings, self.has_embedding = class_ids, embeddings, has
+        self.class_ids, self.track_embeddings = class_ids, embeddings
         self.memories = memories
         self._next_id += len(born)
         self._last_frame_index = frame_index
@@ -313,7 +312,7 @@ class Tracker:
             n_matched_first=len(first.matches), n_matched_second=len(second.matches),
             n_new_high=n_new_high, n_new_low=len(born) - n_new_high,
             n_removed=n_removed, n_degenerate=n_degenerate,
-            used_embeddings=bool(has_embedding.any() and high.has_embedding.any()),
+            used_embeddings=bool(track_embeddings.any() and high.embeddings.any()),
             motion=estimate, track_ids=track_ids, predicted_boxes=boxes,
             aspect_pairs=aspect_pairs))
 

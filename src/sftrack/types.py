@@ -7,10 +7,15 @@ matching the on-disk detection/result file semantics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# Largest accepted box area: an area taken from rounded corners can reach
+# 4x it, and IoU adds two such areas, which stays below the largest float.
+MAX_AREA = sys.float_info.max / 16
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,8 @@ class BoundingBox:
             raise ValueError(f"non-finite box field, edge or area: {self}")
         if self.width < 0 or self.height < 0:
             raise ValueError(f"negative box size: {self.width}x{self.height}")
+        if self.width * self.height > MAX_AREA:
+            raise ValueError(f"box area above {MAX_AREA:g}, too large for IoU: {self}")
 
     @property
     def right(self) -> float:

@@ -184,10 +184,15 @@ class TestScaledMse:
         assert sim == pytest.approx(1 - 16384 / 65025, abs=1e-9)
 
     def test_empty_is_zero(self):
-        # A detection without a crop has no patch; the cost builder then
-        # scores the pair 0 without calling the similarity.
+        # A detection without a crop has an all-zero histogram and patch;
+        # the histogram scores 0 against any other, so the pair scores 0.
         cues = ap.detection_cues(solid(1, 1, 1), BoundingBox(20, 20, 4, 4))
-        assert cues.histogram is None and cues.patch is None
+        other = ap.detection_cues(solid(1, 1, 1), BoundingBox(0, 0, 4, 4))
+        assert cues.histogram.shape == (3, ap.HIST_BINS) and not cues.histogram.any()
+        assert cues.patch.shape == (ap.PATCH_SIZE[1], ap.PATCH_SIZE[0], 3)
+        assert not cues.patch.any()
+        assert hist_sim(cues.histogram, other.histogram) == 0.0
+        assert hist_sim(cues.histogram, cues.histogram) == 0.0
 
 
 @settings(max_examples=30)
@@ -238,6 +243,21 @@ class TestEmbeddingSimilarity:
         got = ap.embedding_similarities(a, b)
         assert np.array_equal(got, np.maximum(want, 0.0))
         assert not got[[3, 7]].any() and not got[:, 5].any()
+
+    @pytest.mark.parametrize("missing", [1.0, -np.inf])
+    def test_zero_rows_score_missing(self, missing):
+        # A zero row is no embedding; every other pair keeps its cosine.
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(6, 8)), rng.normal(size=(5, 8))
+        a[2] = 0.0
+        b[[0, 4]] = 0.0
+        got = ap.embedding_similarities(a, b, missing)
+        want = ap.embedding_similarities(a, b)
+        absent = np.zeros(got.shape, dtype=bool)
+        absent[2] = absent[:, [0, 4]] = True
+        assert (got[absent] == missing).all()
+        assert np.array_equal(got[~absent], want[~absent])
+        assert (got[~absent] >= 0.0).all()
 
 
 class TestExtractCrop:
@@ -375,13 +395,12 @@ class TestUpdateEmbeddings:
     def test_ema_stays_unit(self):
         # A track's running embedding is a row of the embedding table.
         rng = np.random.default_rng(2)
-        table, has = np.zeros((3, 16)), np.zeros(3, dtype=bool)
+        table = np.zeros((3, 16))
         for _ in range(20):
             v = rng.normal(size=16)
             v /= np.linalg.norm(v)
-            table, has = ap.update_embeddings(table, has, np.array([1]), v[None])
+            table = ap.update_embeddings(table, np.array([1]), v[None])
             assert np.linalg.norm(table[1]) == pytest.approx(1.0, abs=1e-9)
-        assert has.tolist() == [False, True, False]
         assert not table[[0, 2]].any()
 
 
@@ -414,8 +433,11 @@ class TestLazyCues:
         assert "patch" not in vars(cues)
 
     def test_no_crop_no_cues(self):
+        # Without a crop the histogram and the patch are zeros.
         cues = ap.detection_cues(solid(1, 2, 3), BoundingBox(20, 20, 4, 4))
-        assert cues.crop is None and cues.histogram is None and cues.patch is None
+        assert cues.crop is None
+        assert np.array_equal(cues.histogram, np.zeros((3, ap.HIST_BINS)))
+        assert np.array_equal(cues.patch, np.zeros((ap.PATCH_SIZE[1], ap.PATCH_SIZE[0], 3)))
 
     def test_memory_keeps_a_copy_of_the_crop(self):
         # The record a track keeps as its memory pins no frame.

@@ -35,24 +35,26 @@ class _Row:
         self.memory = Cues(None)
 
 
-def _columns(boxes, class_ids, embeddings, cues) -> Columns:
-    width = max((e.size for e in embeddings if e is not None), default=0)
+def _columns(boxes, class_ids, embeddings, cues, width=None) -> Columns:
+    """Columns of the rows, with a zero embedding row where a row has none;
+    ``width`` defaults to that of the rows' embeddings."""
+    if width is None:
+        width = max((e.size for e in embeddings if e is not None), default=0)
     table = np.zeros((len(boxes), width))
     for i, e in enumerate(embeddings):
         if e is not None:
             table[i] = e
-    return Columns(corners(box_array(boxes)), np.array(class_ids, dtype=int), table,
-                   np.array([e is not None for e in embeddings], dtype=bool), list(cues))
+    return Columns(corners(box_array(boxes)), np.array(class_ids, dtype=int), table, list(cues))
 
 
-def _track_columns(rows) -> Columns:
+def _track_columns(rows, width=None) -> Columns:
     return _columns([r.predicted_box for r in rows], [r.class_id for r in rows],
-                    [r.embedding for r in rows], [r.memory for r in rows])
+                    [r.embedding for r in rows], [r.memory for r in rows], width)
 
 
-def _det_columns(dets, cues, embeddings=None) -> Columns:
+def _det_columns(dets, cues, embeddings=None, width=None) -> Columns:
     return _columns([d.box for d in dets], [d.class_id for d in dets],
-                    embeddings or [None] * len(dets), cues)
+                    embeddings or [None] * len(dets), cues, width)
 
 
 def _cues(frame, dets):
@@ -60,7 +62,11 @@ def _cues(frame, dets):
 
 
 def _matrix(tracks, dets, stage, cues, use_appearance=True, embeddings=None):
-    return build_stage_matrix(_track_columns(tracks), _det_columns(dets, cues, embeddings),
+    # Both sides' tables are as wide as the widest embedding, as in the tracker.
+    width = max((e.size for e in [t.embedding for t in tracks] + list(embeddings or [])
+                 if e is not None), default=0)
+    return build_stage_matrix(_track_columns(tracks, width),
+                              _det_columns(dets, cues, embeddings, width),
                               stage, use_appearance=use_appearance)
 
 
@@ -211,7 +217,6 @@ class TestColumns:
         assert len(sub) == 2 and sub.cues == ["c", "a"]
         assert sub.boxes[:, 0].tolist() == [2.0, 0.0]
         assert sub.class_ids.tolist() == [0, 0]
-        assert sub.has_embedding.tolist() == [True, True]
         assert sub.embeddings.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         empty = cols.take([])
         assert len(empty) == 0 and empty.boxes.shape == (0, 4)
@@ -297,7 +302,7 @@ def _oracle(tracks, detections, cues, embeddings, stage, use_appearance):
                         np.linalg.norm(track.embedding) * np.linalg.norm(e))
                     sim *= max(0.0, cos)
             elif use_appearance:
-                if mem.histogram is None or cue.histogram is None:
+                if mem.crop is None or cue.crop is None:
                     sim = 0.0
                 else:
                     bc = np.sqrt(mem.histogram * cue.histogram).sum(axis=1)
@@ -360,18 +365,12 @@ def _stacked_second_stage(tracks: Columns, detections: Columns) -> np.ndarray:
     rows, ti_u = np.unique(ti, return_inverse=True)
     cols, dj_u = np.unique(dj, return_inverse=True)
 
-    def stack(values, shape):
-        return np.stack([np.zeros(shape) if v is None else v for v in values])
-
-    bins = (3, ap.HIST_BINS)
-    patch = (ap.PATCH_SIZE[1], ap.PATCH_SIZE[0], 3)
-    a = stack([tracks.cues[i].patch for i in rows], patch)[ti_u]
-    b = stack([detections.cues[j].patch for j in cols], patch)[dj_u]
+    a = np.stack([tracks.cues[i].patch for i in rows])[ti_u]
+    b = np.stack([detections.cues[j].patch for j in cols])[dj_u]
     mse = ((a - b) ** 2).mean(axis=(1, 2, 3))
     sim = (ious[ti, dj]
-           * ap.histogram_similarities(stack([tracks.cues[i].histogram for i in rows], bins)[ti_u],
-                                       stack([detections.cues[j].histogram for j in cols],
-                                             bins)[dj_u])
+           * ap.histogram_similarities(np.stack([tracks.cues[i].histogram for i in rows])[ti_u],
+                                       np.stack([detections.cues[j].histogram for j in cols])[dj_u])
            * (1.0 - mse / (255.0 ** 2)))
     cost[ti, dj] = 1.0 - sim
     return cost
@@ -458,3 +457,47 @@ def test_second_stage_peak_memory_below_one_pair_stack():
     assert pairs >= 64
     one_stack = pairs * ap.PATCH_SIZE[0] * ap.PATCH_SIZE[1] * 3 * 8
     assert peak < one_stack, (peak, one_stack)
+
+
+def _masked_cosines(a: np.ndarray, b: np.ndarray, missing: float) -> np.ndarray:
+    """The first-stage and rho-gate cosine as it was built from has-embedding
+    masks, kept as the oracle of ``embedding_similarities(a, b, missing)``:
+    one gemm over the full tables when every row has an embedding, else
+    ``missing`` with the cosines of the rows that have one filled in from a
+    gemm over that subset."""
+    def cosines(a, b):
+        norms = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)[None, :]
+        positive = norms > 0.0
+        out = (a @ b.T) / np.where(positive, norms, 1.0)
+        out[~positive] = 0.0
+        return np.maximum(out, 0.0, out=out)
+
+    has_a, has_b = a.any(axis=1), b.any(axis=1)
+    if len(a) and len(b) and has_a.all() and has_b.all():
+        return cosines(a, b)
+    out = np.full((len(a), len(b)), missing)
+    if has_a.any() and has_b.any():
+        out[np.ix_(has_a, has_b)] = cosines(a[has_a], b[has_b])
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1.0, -np.inf]), st.booleans())
+def test_embedding_similarities_match_masked_cosines(seed, missing, partial):
+    rng = np.random.default_rng(seed)
+    n, m, dim = (int(v) for v in rng.integers([0, 0, 1], [40, 40, 130]))
+    a = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    b = rng.normal(size=(m, dim))
+    if partial:
+        a[rng.uniform(size=n) < 0.3] = 0.0
+        b[rng.uniform(size=m) < 0.3] = 0.0
+    got = ap.embedding_similarities(a, b, missing)
+    want = _masked_cosines(a, b, missing)
+    absent = ~a.any(axis=1)[:, None] | ~b.any(axis=1)[None, :]
+    if not absent.any():
+        # Every row has an embedding: the same gemm, so the same bits.
+        assert got.tobytes() == want.tobytes()
+    else:
+        # One full gemm against a gemm over the rows with an embedding.
+        assert (got[absent] == missing).all() and (want[absent] == missing).all()
+        assert np.allclose(got[~absent], want[~absent], rtol=0.0, atol=1e-15)

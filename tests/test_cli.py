@@ -62,8 +62,10 @@ class TestSynth:
 
     @pytest.mark.parametrize("section", ["[object]\npath = sinusiodal",
                                          "[camera]\npattern = spiral",
-                                         "[object]\ncolor = 1,2"],
-                             ids=["path", "pattern", "color"])
+                                         "[object]\ncolor = 1,2",
+                                         "fp_rate = inf",
+                                         "[object]\npath = sinusoidal\nperiod = 0"],
+                             ids=["path", "pattern", "color", "fp_rate", "period"])
     def test_spec_bad_value_exit_2_writes_nothing(self, tmp_path, section):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"seed = 1\nframes = 2\nwidth = 64\nheight = 48\n\n{section}\n")
@@ -288,6 +290,14 @@ class TestEval:
                          "--format", "visdrone"])
         assert code == 2
         assert "res.txt:2: non-finite box field, edge or area" in capsys.readouterr().err
+
+    def test_box_whose_area_sum_overflows_exit_2(self, tmp_path, capsys):
+        # Its area is finite, but IoU's union adds two areas, which overflows.
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,0,0,1e154,1e154,1,4,0,0\n")
+        code = cli.main(["eval", "--gt", str(gt), "--res", str(gt), "--format", "visdrone"])
+        assert code == 2
+        assert "gt.txt:1: box area above" in capsys.readouterr().err
 
     def test_frame_range_warning(self, tiny_seq, tmp_path, capsys):
         res = tmp_path / "res.txt"

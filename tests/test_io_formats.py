@@ -49,8 +49,30 @@ class TestPpm:
     def test_truncated(self, tmp_path):
         p = tmp_path / "f.ppm"
         p.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(ParseError, match="truncated pixel data: 5 of 12 bytes"):
             read_ppm(p)
+
+    def test_header_only_is_truncated(self, tmp_path):
+        p = tmp_path / "g.ppm"
+        p.write_bytes(b"P6\n2 2\n255")
+        with pytest.raises(ParseError, match="truncated pixel data: 0 of 12 bytes"):
+            read_ppm(p)
+
+    def test_two_frame_sized_allocations(self, tmp_path):
+        # The file's bytes and the returned copy; the raster is read in place.
+        import tracemalloc
+
+        img = np.random.default_rng(6).integers(0, 256, size=(480, 640, 3)).astype(np.uint8)
+        p = tmp_path / "big.ppm"
+        write_ppm(p, img)
+        tracemalloc.start()
+        try:
+            got = read_ppm(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, img) and got.flags.writeable and got.flags.owndata
+        assert 2 * img.nbytes <= peak < 2.5 * img.nbytes, peak / img.nbytes
 
 
 class TestMotDetections:
@@ -118,6 +140,8 @@ class TestNumericFields:
         "1,-1,nan,20,30,40,0.9", "1,-1,10,20,inf,40,0.9",
         # Finite fields whose right edge, bottom edge or area overflows.
         "1,-1,1e308,10,1e308,20,0.9", "1,-1,10,1e308,20,1e308,0.9", "1,-1,0,0,1e200,1e200,0.9",
+        # A finite area, but a sum of two of them overflows.
+        "1,-1,0,0,1e154,1e154,0.9",
     ])
     def test_mot_detections(self, tmp_path, row):
         p = tmp_path / "det.txt"
@@ -128,6 +152,7 @@ class TestNumericFields:
     @pytest.mark.parametrize("row", [
         "nan,1,0,0,5,5,1,4,0,0", "1,2.5,0,0,5,5,1,4,0,0", "1,1,0,0,5,5,nan,4,0,0",
         "1,1,0,0,5,5,1,4.5,0,0", "1,1,0,0,5,5,1,inf,0,0", "1,1,0,0,1e200,1e200,1,4,0,0",
+        "1,1,0,0,1e154,1e154,1,4,0,0",
     ])
     def test_visdrone(self, tmp_path, row):
         p = tmp_path / "gt.txt"
@@ -137,7 +162,7 @@ class TestNumericFields:
 
     @pytest.mark.parametrize("row", [
         "1.5,1,0,0,5,5", "1,inf,0,0,5,5", "1,1,0,0,5,5,nan", "1,1,0,0,5,5,1,0.5",
-        "1,1,1e308,0,1e308,5",
+        "1,1,1e308,0,1e308,5", "1,1,0,0,1e154,1e154",
     ])
     def test_mot_annotations(self, tmp_path, row):
         p = tmp_path / "gt.txt"

@@ -195,10 +195,22 @@ class TestSpecFiles:
         ("object", "color", "0,256,0"),
         ("occluder", "color", "-1,0,0"),
         ("occluder", "color", "red"),
+        # Non-finite numbers, a negative false-positive rate and a period
+        # that is not positive (a sinusoid divides by it) failed in generate.
+        ("noise", "fp_rate", "inf"),
+        ("noise", "fp_rate", "-0.5"),
+        ("noise", "pos_jitter", "nan"),
+        ("object", "x", "inf"),
+        ("camera", "trans_amp_x", "-inf"),
+        ("object", "period", "0"),
+        ("camera", "period", "-20"),
     ])
     def test_bad_value_rejected_naming_its_key(self, section, key, value):
+        # Noise keys are top-level.
+        line = f"{key} = {value}\n"
+        text = f"seed = 1\n{line}" if section == "noise" else f"seed = 1\n\n[{section}]\n{line}"
         with pytest.raises(ConfigError, match=f"{section} key {key}: '{value}'"):
-            parse_scenario(f"seed = 1\n\n[{section}]\n{key} = {value}\n")
+            parse_scenario(text)
 
     def test_every_known_choice_parses(self):
         for path in ("static", "linear", "sinusoidal"):

@@ -36,7 +36,7 @@ def config(**kwargs):
 def columns(t: Tracker) -> list:
     """Every per-track column of ``t``; row i of each is one live track."""
     return [t.track_ids, t.miss_counts, t.kalman_state.mean, t.kalman_state.covariance,
-            t.class_ids, t.track_embeddings, t.has_embedding, t.memories]
+            t.class_ids, t.track_embeddings, t.memories]
 
 
 class TestBasics:
@@ -340,7 +340,7 @@ class TestDegenerateDetections:
         table = {(1, 0): e0, (1, 1): e1}
         t = Tracker(config(), embeddings=table, handcrafted_fallback=False)
         t.step(1, FRAME, [det(1, 50, 40, h=0), det(1, 10, 10, score=0.9)])
-        assert t.has_embedding.tolist() == [True]
+        assert t.track_embeddings.any(axis=1).tolist() == [True]
         assert np.array_equal(t.track_embeddings[0], e1)
 
 
@@ -625,7 +625,8 @@ class TestEmbeddingTable:
             ids = t.track_ids.tolist()
             assert t.track_embeddings.shape == (len(ids), self.DIM), f"frame {k}"
             assert t.class_ids.tolist() == [classes[i] for i in ids], f"frame {k}"
-            assert t.has_embedding.tolist() == [ref[i] is not None for i in ids], f"frame {k}"
+            assert t.track_embeddings.any(axis=1).tolist() == [ref[i] is not None for i in ids], \
+                f"frame {k}"
             for row, tid in enumerate(ids):
                 if ref[tid] is not None:
                     assert np.array_equal(t.track_embeddings[row], ref[tid]), (k, tid)
@@ -637,21 +638,21 @@ class TestEmbeddingTable:
         rng = np.random.default_rng(4)
         n, dim = 300, 33
         table = rng.normal(size=(n, dim)) * rng.uniform(0.01, 10.0, size=(n, 1))
-        has = rng.uniform(size=n) < 0.7
+        table[rng.uniform(size=n) < 0.3] = 0.0  # rows without an embedding
         rows = rng.permutation(n)[:200]
         new = rng.normal(size=(200, dim))
-        # A zero mix: the old row and the new vector are both zero.
-        table[rows[0]] = 0.0
-        has[rows[0]] = True
-        new[0] = 0.0
-        got, got_has = appearance.update_embeddings(table, has, rows, new)
-        assert got_has.tolist() == [h or i in set(rows.tolist()) for i, h in enumerate(has)]
+        # A zero mix: m * (1 - m) + (1 - m) * -m is exactly 0.
+        m = appearance.EMBEDDING_MOMENTUM
+        table[rows[0]] = new[0] = 0.0
+        table[rows[0], 0], new[0, 0] = 1.0 - m, -m
+        assert not (m * table[rows[0]] + (1.0 - m) * new[0]).any()
+        got = appearance.update_embeddings(table, rows, new)
         for i in range(n):
-            old = table[i] if has[i] else None
+            old = table[i] if table[i].any() else None
             hit = np.flatnonzero(rows == i)
-            want = update_embedding(old, new[hit[0]]) if hit.size else old
-            if want is not None:
-                assert np.array_equal(got[i], want), i
+            want = update_embedding(old, new[hit[0]]) if hit.size else table[i]
+            assert np.array_equal(got[i], want), i
+        assert np.array_equal(got[rows[0]], new[0])
 
 
 class TestFrameDiagnostics:
@@ -764,7 +765,7 @@ class TestFileEmbeddings:
         t = Tracker(config(), embeddings={(1, 0): e}, handcrafted_fallback=True)
         t.step(1, FRAME, [det(1, 50, 40), det(1, 120, 90)])
         assert calls == []
-        assert t.has_embedding.tolist() == [True, False]
+        assert t.track_embeddings.any(axis=1).tolist() == [True, False]
         assert np.array_equal(t.track_embeddings[0], e)
 
     def test_row_missing_from_table_means_no_embedding(self, monkeypatch):
@@ -782,8 +783,28 @@ class TestFileEmbeddings:
         r = t.step(3, FRAME, [det(3, 54, 40), det(3, 120, 90, score=0.4)])
         assert (r.diagnostics.n_matched_first, r.diagnostics.n_new_low) == (1, 1)
         assert calls == []
-        assert t.has_embedding.tolist() == [True, False]
+        assert t.track_embeddings.any(axis=1).tolist() == [True, False]
         assert np.array_equal(t.track_embeddings[0], e)
+
+    def test_zero_vector_reads_as_a_missing_row(self):
+        # A zero vector in the table is no embedding: the tracker runs as
+        # if its row were missing.
+        e, zero = np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4)
+        stream = [(1, [det(1, 50, 40)]), (2, [det(2, 52, 40)]),
+                  (3, [det(3, 54, 40), det(3, 120, 90, score=0.4)])]
+        missing = Tracker(config(rho=0.99), embeddings={(1, 0): e})
+        zeroed = Tracker(config(rho=0.99), embeddings={(1, 0): e, (2, 0): zero, (3, 0): zero,
+                                                       (3, 1): zero})
+        for k, dets in stream:
+            a, b = missing.step(k, FRAME, dets), zeroed.step(k, FRAME, dets)
+            assert a.outputs == b.outputs, k
+            counts = [(d.n_matched_first, d.n_new_high, d.n_new_low, d.used_embeddings)
+                      for d in (a.diagnostics, b.diagnostics)]
+            assert counts[0] == counts[1], k
+        assert counts[1] == (1, 0, 1, False)
+        for got, want in zip(columns(zeroed)[:-1], columns(missing)[:-1], strict=True):
+            assert np.array_equal(got, want)
+        assert zeroed.track_embeddings.any(axis=1).tolist() == [True, False]
 
 
 TAU = TrackerConfig().tau

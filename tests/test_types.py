@@ -35,6 +35,25 @@ class TestBoundingBox:
         b = BoundingBox(-1e150, 1e150, 1e150, 1e150)
         assert math.isfinite(b.right) and math.isfinite(b.area)
 
+    @pytest.mark.parametrize("fields", [(0, 0, 1e154, 1e154), (5, -5, 1e300, 1e8),
+                                        (0, 0, types.MAX_AREA / 2 ** 500, 2.0 ** 500 * 1.5)])
+    def test_rejects_area_whose_double_overflows(self, fields):
+        # A finite area above the bound: two such areas added, as IoU's union
+        # adds them, can overflow.
+        assert math.isfinite(fields[2] * fields[3])
+        with pytest.raises(ValueError, match="box area above"):
+            BoundingBox(*fields)
+
+    def test_largest_box_has_iou_one_with_itself(self):
+        b = BoundingBox(0.0, 0.0, types.MAX_AREA / 2 ** 500, 2.0 ** 500)
+        assert b.area == types.MAX_AREA
+        ltwh = box_array([b])
+        with np.errstate(all="raise"):
+            assert iou(b, b) == 1.0
+            assert box_iou_pairs(ltwh, ltwh).tolist() == [1.0]
+            assert iou_pairs(corners(ltwh), corners(ltwh)).tolist() == [1.0]
+            assert iou_matrix(corners(ltwh), corners(ltwh)).tolist() == [[1.0]]
+
     def test_degenerate_flag(self):
         assert box(0, 0, 0, 10).is_degenerate
         assert not box(0, 0, 1, 1).is_degenerate
